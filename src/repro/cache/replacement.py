@@ -14,6 +14,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.cache.block import CacheBlock
+from repro.registry import Registry
 
 __all__ = [
     "ReplacementPolicy",
@@ -94,9 +95,11 @@ class LfuPolicy(ReplacementPolicy):
         ).lba
 
 
-_POLICIES: dict[str, type[ReplacementPolicy]] = {
-    cls.name: cls for cls in (LruPolicy, FifoPolicy, ClockPolicy, LfuPolicy)
-}
+_POLICIES: Registry[type[ReplacementPolicy]] = Registry(
+    "replacement policy",
+    __name__,
+    entries={cls.name: cls for cls in (LruPolicy, FifoPolicy, ClockPolicy, LfuPolicy)},
+)
 
 
 def make_replacement_policy(name: str) -> ReplacementPolicy:
@@ -105,9 +108,4 @@ def make_replacement_policy(name: str) -> ReplacementPolicy:
     Raises:
         ValueError: For unknown names.
     """
-    try:
-        return _POLICIES[name.lower()]()
-    except KeyError:
-        raise ValueError(
-            f"unknown replacement policy {name!r}; choose from {sorted(_POLICIES)}"
-        ) from None
+    return _POLICIES.lookup(name.lower())()

@@ -13,6 +13,7 @@ presets are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.baselines.sib import SibConfig
@@ -113,12 +114,15 @@ class SystemConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-        if self.interval_us <= 0:
-            raise ValueError("interval_us must be positive")
+        # Chained comparisons are false for nan, so these reject it too.
+        if not 0 < self.interval_us < math.inf:
+            raise ValueError("interval_us must be finite and positive")
         if self.cache_blocks <= 0:
             raise ValueError("cache_blocks must be positive")
-        if self.rate_scale <= 0:
-            raise ValueError("rate_scale must be positive")
+        if not 0 < self.rate_scale < math.inf:
+            raise ValueError("rate_scale must be finite and positive")
+        if self.max_merge_blocks < 0:
+            raise ValueError("max_merge_blocks must be non-negative")
         if self.drain_intervals < 0:
             raise ValueError("drain_intervals must be non-negative")
         if self.hdd_disks < 1:

@@ -1,7 +1,7 @@
 """The simlint rule registry: invariant checks by code.
 
-Mirrors :mod:`repro.schemes.registry`: a flat dict of registered rule
-classes, lazily populated with the built-ins on first query, with a
+Rule classes live in a :class:`~repro.registry.Registry` keyed by code,
+populated with the built-ins on the first query, with a
 ``register_rule`` decorator for third-party rules.  Adding a rule is one
 class plus one call::
 
@@ -21,10 +21,8 @@ after which ``repro lint`` runs it and ``--explain SL900`` documents it.
 
 from __future__ import annotations
 
-import importlib
-from typing import Optional
-
 from repro.devtools.simlint.engine import Rule
+from repro.registry import Registry
 
 __all__ = [
     "register_rule",
@@ -35,34 +33,16 @@ __all__ = [
     "unknown_rule_error",
 ]
 
-#: Registered rule classes by code.  Treat as read-only; use
-#: :func:`register_rule` to add entries.  Query order is by code.
-_REGISTRY: dict[str, type[Rule]] = {}
-
-#: Modules whose import registers the built-in rules.  Imported lazily on
-#: the first query (same pattern as the scheme registry) so that merely
-#: importing :mod:`repro.devtools.simlint` stays cheap and so external
-#: rule packages can register before or after the built-ins load.
-_BUILTIN_MODULES = ("repro.devtools.simlint.rules",)
-_builtins_state = "unloaded"  # -> "loading" -> "loaded"
-
-
-def _ensure_builtins() -> None:
-    global _builtins_state
-    if _builtins_state != "unloaded":
-        # "loading" guards reentrancy (a builtin module querying the
-        # registry mid-import); "loaded" is the steady state.
-        return
-    _builtins_state = "loading"
-    try:
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-    except BaseException:
-        # A failed builtin import must surface again on the next query,
-        # not silently leave a partial registry behind.
-        _builtins_state = "unloaded"
-        raise
-    _builtins_state = "loaded"
+#: Registered rule classes, listed by code.  The built-ins load on the
+#: first query so that merely importing :mod:`repro.devtools.simlint`
+#: stays cheap and so external rule packages can register before or
+#: after the built-ins load.
+_RULES: Registry[type[Rule]] = Registry(
+    "rule",
+    __name__,
+    builtins=("repro.devtools.simlint.rules",),
+    order=lambda item: item[0],
+)
 
 
 def register_rule(cls: type[Rule], *, overwrite: bool = False) -> type[Rule]:
@@ -81,21 +61,12 @@ def register_rule(cls: type[Rule], *, overwrite: bool = False) -> type[Rule]:
         raise ValueError(f"{cls.__name__}: rule code must be a non-empty string")
     if not cls.title or not isinstance(cls.title, str):
         raise ValueError(f"{cls.__name__}: rule title must be a non-empty string")
-    if code in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"rule {code!r} is already registered "
-            f"(by {_REGISTRY[code].__name__}); pass overwrite=True to replace"
-        )
-    _REGISTRY[code] = cls
-    return cls
+    return _RULES.register(code, cls, overwrite=overwrite)
 
 
 def unknown_rule_error(code: object) -> ValueError:
     """The canonical unknown-rule error, naming the registry source."""
-    return ValueError(
-        f"unknown rule {code!r}; registered rules "
-        f"(repro.devtools.simlint.registry): {', '.join(rule_codes())}"
-    )
+    return _RULES.unknown(code)
 
 
 def get_rule(code: str) -> type[Rule]:
@@ -105,33 +76,19 @@ def get_rule(code: str) -> type[Rule]:
         ValueError: Naming the registry and listing every registered
             rule — the error an unknown ``--explain`` argument surfaces.
     """
-    _ensure_builtins()
-    try:
-        return _REGISTRY[code]
-    except KeyError:
-        raise unknown_rule_error(code) from None
-
-
-def _ordered() -> list[tuple[str, type[Rule]]]:
-    _ensure_builtins()
-    return sorted(_REGISTRY.items())
+    return _RULES.lookup(code)
 
 
 def rule_codes() -> tuple[str, ...]:
     """Every registered rule code, sorted."""
-    return tuple(code for code, _ in _ordered())
+    return _RULES.names()
 
 
 def rule_descriptions() -> dict[str, str]:
     """Every registered rule with its one-line title."""
-    return {code: cls.title for code, cls in _ordered()}
+    return {code: cls.title for code, cls in _RULES.items()}
 
 
 def all_rules() -> tuple[Rule, ...]:
     """One instance of every registered rule, in code order."""
-    return tuple(cls() for _, cls in _ordered())
-
-
-def _registered(code: str) -> Optional[type[Rule]]:
-    """Internal: the entry for ``code`` or ``None`` (tests and tooling)."""
-    return _REGISTRY.get(code)
+    return tuple(cls() for cls in _RULES.values())

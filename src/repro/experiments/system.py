@@ -27,6 +27,7 @@ from repro.devices.hdd import HddModel
 from repro.devices.ssd import SsdModel
 from repro.io.device_queue import DeviceQueue
 from repro.io.request import Request
+from repro.registry import Registry
 from repro.schemes import Scheme, get_scheme, paper_schemes
 from repro.service.churn import ChurnManager
 from repro.service.slo import SloMonitor
@@ -121,30 +122,35 @@ def _mixed_rw(interval_us, cache_blocks, rate_scale, max_outstanding):
     )
 
 
-#: Workload factories by name: f(interval_us, cache_blocks, rate_scale,
-#: max_outstanding) -> Workload.  Every factory carries a one-line
-#: docstring — that line is what ``workload_descriptions`` (and the CLI's
-#: ``--list-workloads``) print.
-WORKLOADS: dict[str, Callable] = {
-    "tpcc": tpcc_workload,
-    "mail": mail_server_workload,
-    "web": web_server_workload,
-    "bootstorm": boot_storm_workload,
-    "random_read": _random_read,
-    "random_write": _random_write,
-    "seq_read": _seq_read,
-    "seq_write": _seq_write,
-    "mixed_rw": _mixed_rw,
-    # consolidated multi-VM scenarios (one shared cache, per-VM accounting)
-    "consolidated3": consolidated3_workload,
-    "bootstorm_neighbors": bootstorm_neighbors_workload,
-}
+#: Workload factories by name, listed by name: f(interval_us,
+#: cache_blocks, rate_scale, max_outstanding) -> Workload.  Every factory
+#: carries a one-line docstring — that line is what
+#: ``workload_descriptions`` (and the CLI's ``--list-workloads``) print.
+WORKLOADS: Registry[Callable] = Registry(
+    "workload",
+    __name__,
+    order=lambda item: item[0],
+    entries={
+        "tpcc": tpcc_workload,
+        "mail": mail_server_workload,
+        "web": web_server_workload,
+        "bootstorm": boot_storm_workload,
+        "random_read": _random_read,
+        "random_write": _random_write,
+        "seq_read": _seq_read,
+        "seq_write": _seq_write,
+        "mixed_rw": _mixed_rw,
+        # consolidated multi-VM scenarios (one shared cache, per-VM accounting)
+        "consolidated3": consolidated3_workload,
+        "bootstorm_neighbors": bootstorm_neighbors_workload,
+    },
+)
 
 
 def workload_descriptions() -> dict[str, str]:
     """Every registered workload with its one-line docstring, sorted by name."""
     out: dict[str, str] = {}
-    for name, factory in sorted(WORKLOADS.items()):
+    for name, factory in WORKLOADS.items():
         doc = factory.__doc__ or ""
         first = doc.strip().splitlines()[0].strip() if doc.strip() else ""
         out[name] = first or "(no description)"
@@ -175,11 +181,7 @@ def register_consolidation(names: Sequence[str]) -> str:
     """
     if not names:
         raise ValueError("at least one workload name required")
-    missing = [n for n in names if n not in WORKLOADS]
-    if missing:
-        raise ValueError(
-            f"unknown workloads {missing}; choose from {sorted(WORKLOADS)}"
-        )
+    specs = [TenantSpec(WORKLOADS.lookup(n)) for n in names]
     nested = [n for n in names if n in _MULTI_TENANT_NAMES]
     if nested:
         raise ValueError(
@@ -189,7 +191,6 @@ def register_consolidation(names: Sequence[str]) -> str:
     scenario = "vms:" + "+".join(names)
     if scenario in WORKLOADS:
         return scenario
-    specs = [TenantSpec(WORKLOADS[n]) for n in names]
 
     def factory(interval_us, cache_blocks, rate_scale, max_outstanding):
         return MultiTenantWorkload.compose(
@@ -204,7 +205,7 @@ def register_consolidation(names: Sequence[str]) -> str:
     factory.__doc__ = (
         f"Ad-hoc consolidation: {' + '.join(names)} as VMs on one shared cache."
     )
-    WORKLOADS[scenario] = factory
+    WORKLOADS.register(scenario, factory)
     _MULTI_TENANT_NAMES.add(scenario)
     return scenario
 
@@ -223,10 +224,8 @@ def resolve_workload_name(name: str) -> str:
     """
     if name.startswith("vms:"):
         register_consolidation(name[len("vms:"):].split("+"))
-    elif name not in WORKLOADS:
-        raise ValueError(
-            f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}"
-        )
+    else:
+        WORKLOADS.lookup(name)  # raises the unknown-workload error
     return name
 
 

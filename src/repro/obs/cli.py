@@ -116,16 +116,12 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
 
 def _load_spec(name: str) -> Any:
     """A scenario by registry name, or parsed from a spec file path."""
-    from repro.scenario.registry import get_scenario, scenario_descriptions
+    from repro.scenario.registry import get_scenario
     from repro.scenario.spec import load_scenario
 
     if name.endswith(".json") or Path(name).exists():
         return load_scenario(name)
-    try:
-        return get_scenario(name)
-    except KeyError:
-        known = ", ".join(sorted(scenario_descriptions()))
-        raise ValueError(f"unknown scenario {name!r} (known: {known})") from None
+    return get_scenario(name)
 
 
 def _record(args: argparse.Namespace, *, trace: bool, metrics: bool) -> Any:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 
+from repro.registry import Registry
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
@@ -22,9 +23,11 @@ __all__ = [
     "scenario_descriptions",
 ]
 
-#: Registered scenarios by name.  Treat as read-only; use
+#: Registered scenarios by name, listed by name.  Read-only; use
 #: :func:`register_scenario` to add entries.
-SCENARIOS: dict[str, ScenarioSpec] = {}
+SCENARIOS: Registry[ScenarioSpec] = Registry(
+    "scenario", __name__, order=lambda item: item[0]
+)
 
 
 def register_scenario(spec: ScenarioSpec, overwrite: bool = False) -> str:
@@ -38,27 +41,20 @@ def register_scenario(spec: ScenarioSpec, overwrite: bool = False) -> str:
         The registered name.
     """
     spec.validate()
-    if spec.name in SCENARIOS and not overwrite:
-        raise ValueError(f"scenario {spec.name!r} already registered")
-    SCENARIOS[spec.name] = copy.deepcopy(spec)
+    SCENARIOS.register(spec.name, copy.deepcopy(spec), overwrite=overwrite)
     return spec.name
 
 
 def get_scenario(name: str) -> ScenarioSpec:
     """A private copy of a registered scenario (mutate freely)."""
-    try:
-        return copy.deepcopy(SCENARIOS[name])
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
-        ) from None
+    return copy.deepcopy(SCENARIOS.lookup(name))
 
 
 def scenario_descriptions() -> dict[str, str]:
     """Every registered scenario with its one-line description, sorted."""
     return {
         name: (spec.description or "(no description)")
-        for name, spec in sorted(SCENARIOS.items())
+        for name, spec in SCENARIOS.items()
     }
 
 

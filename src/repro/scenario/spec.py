@@ -47,9 +47,10 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.config import SystemConfig, paper_config, quick_config
+from repro.registry import Registry
 
 __all__ = [
     "ScenarioSpec",
@@ -59,7 +60,9 @@ __all__ = [
 ]
 
 #: Config presets a spec's ``system`` overrides start from.
-_BASES = {"paper", "quick"}
+_BASES: Registry[Callable[[], SystemConfig]] = Registry(
+    "base", __name__, entries={"paper": paper_config, "quick": quick_config}
+)
 
 #: Write policies accepted for ``fixed_policy`` (case-insensitive).
 _POLICIES = {"WB", "WT", "RO", "WO"}
@@ -81,14 +84,6 @@ _SPEC_KEYS = {
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario specifications."""
-
-
-def _schemes() -> tuple[str, ...]:
-    # Imported lazily so the scenario layer stays importable without
-    # the scheme registry loaded; importing registers the builtins.
-    from repro.schemes import scheme_names
-
-    return scheme_names()
 
 
 def _apply_overrides(obj: Any, overrides: Mapping[str, Any], context: str) -> Any:
@@ -192,17 +187,15 @@ class ScenarioSpec:
         """
         if not self.name or not isinstance(self.name, str):
             raise ScenarioError("scenario: name must be a non-empty string")
-        if self.scheme not in _schemes():
-            from repro.schemes import unknown_scheme_error
+        # Imported lazily so the scenario layer stays importable without
+        # the scheme registry loaded.
+        from repro.schemes import get_scheme
 
-            raise ScenarioError(
-                f"scenario {self.name!r}: {unknown_scheme_error(self.scheme)}"
-            )
-        if self.base not in _BASES:
-            raise ScenarioError(
-                f"scenario {self.name!r}: unknown base {self.base!r}; "
-                f"choose from {sorted(_BASES)}"
-            )
+        try:
+            get_scheme(self.scheme)
+            _BASES.lookup(self.base)
+        except ValueError as exc:
+            raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
         if self.fixed_policy is not None and (
             not isinstance(self.fixed_policy, str)
             or self.fixed_policy.upper() not in _POLICIES
@@ -314,11 +307,11 @@ class ScenarioSpec:
             scheme=spec.get("scheme", "lbica"),
             description=spec.get("description", ""),
             base=spec.get("base", "paper"),
-            system=copy.deepcopy(dict(spec.get("system") or {})),
+            system=_section(spec, "system"),
             fixed_policy=spec.get("fixed_policy"),
             horizon_intervals=spec.get("horizon_intervals"),
-            sweep_axes=copy.deepcopy(dict(spec.get("sweep") or {})),
-            obs=copy.deepcopy(dict(spec.get("obs") or {})),
+            sweep_axes=_section(spec, "sweep"),
+            obs=_section(spec, "obs"),
         )
         built.validate()
         return built
@@ -332,15 +325,10 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     def to_config(self) -> SystemConfig:
         """The exact :class:`SystemConfig` this scenario runs under."""
-        if self.base == "quick":
-            base = quick_config()
-        elif self.base == "paper":
-            base = paper_config()
-        else:
-            raise ScenarioError(
-                f"scenario {self.name!r}: unknown base {self.base!r}; "
-                f"choose from {sorted(_BASES)}"
-            )
+        try:
+            base = _BASES.lookup(self.base)()
+        except ValueError as exc:
+            raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
         cfg = _apply_overrides(base, self.system, "system")
         if self.obs:
             cfg = dataclasses.replace(
@@ -521,6 +509,16 @@ class ScenarioSpec:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         workload = self.workload if isinstance(self.workload, str) else "<inline>"
         return f"ScenarioSpec({self.name!r}, {workload}/{self.scheme})"
+
+
+def _section(spec: Mapping[str, Any], key: str) -> dict:
+    """A private copy of the optional mapping section ``spec[key]``."""
+    value = spec.get(key) or {}
+    if not isinstance(value, Mapping):
+        raise ScenarioError(
+            f"scenario spec: {key!r} must be a mapping, got {type(value).__name__}"
+        )
+    return copy.deepcopy(dict(value))
 
 
 def scenario_from_dict(spec: Mapping[str, Any]) -> ScenarioSpec:

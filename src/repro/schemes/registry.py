@@ -25,9 +25,9 @@ campaign sweeps over ``scheme`` all pick it up.
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
+from repro.registry import Registry
 from repro.schemes.base import Scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,44 +42,23 @@ __all__ = [
     "build_scheme",
 ]
 
-#: Registered scheme classes by name.  Treat as read-only; use
-#: :func:`register_scheme` to add entries.  Query order is by each
-#: class's ``registry_order`` (ties broken by registration order), so
-#: the paper trio lists first regardless of import order.
-_REGISTRY: dict[str, type[Scheme]] = {}
-
-#: Modules whose import registers the built-in schemes.  The legacy
-#: controllers self-register at their module bottoms (they cannot be
-#: imported from here at load time — ``repro.config`` imports them, and
-#: they import :mod:`repro.schemes.base`, so a load-time import here
-#: would be circular); every query lazily imports the full set instead.
-_BUILTIN_MODULES = (
-    "repro.baselines.wb",
-    "repro.baselines.sib",
-    "repro.core.lbica",
-    "repro.schemes.partition",
-    "repro.schemes.dynshare",
-    "repro.schemes.slosteal",
+#: Registered scheme classes, listed by ``registry_order`` so the paper
+#: trio lists first.  The builtins self-register when imported on the
+#: first query: they import :mod:`repro.schemes.base` and
+#: ``repro.config`` imports them, so a load-time import would be circular.
+_SCHEMES: Registry[type[Scheme]] = Registry(
+    "scheme",
+    __name__,
+    builtins=(
+        "repro.baselines.wb",
+        "repro.baselines.sib",
+        "repro.core.lbica",
+        "repro.schemes.partition",
+        "repro.schemes.dynshare",
+        "repro.schemes.slosteal",
+    ),
+    order=lambda item: item[1].registry_order,
 )
-_builtins_state = "unloaded"  # -> "loading" -> "loaded"
-
-
-def _ensure_builtins() -> None:
-    global _builtins_state
-    if _builtins_state != "unloaded":
-        # "loading" guards reentrancy (a builtin module querying the
-        # registry mid-import); "loaded" is the steady state.
-        return
-    _builtins_state = "loading"
-    try:
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-    except BaseException:
-        # A failed builtin import must surface again on the next query,
-        # not silently leave a partial registry behind.
-        _builtins_state = "unloaded"
-        raise
-    _builtins_state = "loaded"
 
 
 def register_scheme(
@@ -101,21 +80,12 @@ def register_scheme(
     name = cls.name
     if not name or not isinstance(name, str):
         raise ValueError(f"{cls.__name__}: scheme name must be a non-empty string")
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"scheme {name!r} is already registered "
-            f"(by {_REGISTRY[name].__name__}); pass overwrite=True to replace"
-        )
-    _REGISTRY[name] = cls
-    return cls
+    return _SCHEMES.register(name, cls, overwrite=overwrite)
 
 
 def unknown_scheme_error(name: object) -> ValueError:
     """The canonical unknown-scheme error, naming the registry source."""
-    return ValueError(
-        f"unknown scheme {name!r}; registered schemes "
-        f"(repro.schemes.registry): {', '.join(scheme_names())}"
-    )
+    return _SCHEMES.unknown(name)
 
 
 def get_scheme(name: str) -> type[Scheme]:
@@ -126,39 +96,24 @@ def get_scheme(name: str) -> type[Scheme]:
             scheme — the error an unknown ``ScenarioSpec.scheme`` or CLI
             argument surfaces.
     """
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise unknown_scheme_error(name) from None
-
-
-def _ordered() -> list[tuple[str, type[Scheme]]]:
-    _ensure_builtins()
-    # sorted() is stable, so equal registry_order keeps arrival order.
-    return sorted(_REGISTRY.items(), key=lambda kv: kv[1].registry_order)
+    return _SCHEMES.lookup(name)
 
 
 def scheme_names() -> tuple[str, ...]:
     """Every registered scheme name (``registry_order``, then arrival)."""
-    return tuple(name for name, _ in _ordered())
+    return _SCHEMES.names()
 
 
 def paper_schemes() -> tuple[str, ...]:
     """The paper's comparison baselines (``paper_baseline=True``)."""
-    return tuple(name for name, cls in _ordered() if cls.paper_baseline)
+    return tuple(name for name, cls in _SCHEMES.items() if cls.paper_baseline)
 
 
 def scheme_descriptions() -> dict[str, str]:
     """Every registered scheme with its one-line description."""
-    return {name: cls.describe() for name, cls in _ordered()}
+    return {name: cls.describe() for name, cls in _SCHEMES.items()}
 
 
 def build_scheme(name: str, system: "ExperimentSystem") -> Scheme:
     """Construct (and attach) the named scheme against a wired system."""
     return get_scheme(name).from_system(system)
-
-
-def _registered(name: str) -> Optional[type[Scheme]]:
-    """Internal: the entry for ``name`` or ``None`` (tests and tooling)."""
-    return _REGISTRY.get(name)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
+from repro.registry import Registry
 from repro.trace.records import TraceRecord
 
 __all__ = [
@@ -171,17 +172,23 @@ def interleave(
 #: with their required/optional parameters.  ``interleave`` is not here:
 #: it changes the stream's shape (records → per-tenant pairs) and is
 #: driven by the spec's ``interleave`` key instead.
-OPERATORS: dict[str, tuple[Callable[..., Iterator[TraceRecord]], frozenset[str]]] = {
-    "time_compress": (time_compress, frozenset({"factor"})),
-    "rate_multiply": (rate_multiply, frozenset({"factor"})),
-    "slice": (slice_trace, frozenset({"start_us", "stop_us", "rebase"})),
-    "lba_shift": (lba_shift, frozenset({"blocks"})),
-}
+OPERATORS: Registry[
+    tuple[Callable[..., Iterator[TraceRecord]], frozenset[str]]
+] = Registry(
+    "trace operator",
+    __name__,
+    entries={
+        "time_compress": (time_compress, frozenset({"factor"})),
+        "rate_multiply": (rate_multiply, frozenset({"factor"})),
+        "slice": (slice_trace, frozenset({"start_us", "stop_us", "rebase"})),
+        "lba_shift": (lba_shift, frozenset({"blocks"})),
+    },
+)
 
 
 def operator_names() -> tuple[str, ...]:
     """Every spec-addressable operator name."""
-    return tuple(OPERATORS)
+    return OPERATORS.names()
 
 
 def compile_operator(
@@ -198,13 +205,7 @@ def compile_operator(
     if not isinstance(spec, Mapping) or "op" not in spec:
         raise ValueError(f"operator spec must be a mapping with an 'op' key: {spec!r}")
     name = spec["op"]
-    entry = OPERATORS.get(name)
-    if entry is None:
-        raise ValueError(
-            f"unknown trace operator {name!r}; known operators "
-            f"(repro.trace.operators): {', '.join(OPERATORS)}"
-        )
-    fn, allowed = entry
+    fn, allowed = OPERATORS.lookup(name)
     params = {k: v for k, v in spec.items() if k != "op"}
     unknown = set(params) - allowed
     if unknown:

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _VALID_TAGS = {tag.value: tag for tag in OpTag}
+_INF = float("inf")
 
 #: An adapter argument: a registered name or a live adapter instance.
 AdapterLike = Union[str, "TraceAdapter"]
@@ -128,8 +129,11 @@ def parse_native_line(lineno: int, line: str) -> TraceRecord:
         raise TraceParseError(lineno, line, f"unknown tag {tag_s!r}")
     if rw not in ("R", "W"):
         raise TraceParseError(lineno, line, f"rw must be R or W, got {rw!r}")
-    if time < 0 or lba < 0 or nblocks <= 0:
-        raise TraceParseError(lineno, line, "negative time/lba or non-positive size")
+    # The chained comparison is false for nan too, so this also rejects it.
+    if not 0.0 <= time < _INF or lba < 0 or nblocks <= 0:
+        raise TraceParseError(
+            lineno, line, "time must be finite and >= 0, lba >= 0 and size > 0"
+        )
     return TraceRecord(
         time=time,
         device=device,

@@ -234,12 +234,10 @@ def _resolve_tenant_factory(workload: Any, context: str) -> Callable:
         # its registry.
         from repro.experiments.system import _MULTI_TENANT_NAMES, WORKLOADS
 
-        factory = WORKLOADS.get(workload)
-        if factory is None:
-            raise SpecError(
-                f"{context}: unknown workload {workload!r}; "
-                f"choose from {sorted(WORKLOADS)}"
-            )
+        try:
+            factory = WORKLOADS.lookup(workload)
+        except ValueError as exc:
+            raise SpecError(f"{context}: {exc}") from None
         if workload in _MULTI_TENANT_NAMES:
             raise SpecError(
                 f"{context}: workload {workload!r} is already multi-tenant; "

@@ -31,6 +31,19 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(drain_intervals=-1).validate()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"interval_us": float("nan")},
+            {"interval_us": float("inf")},
+            {"rate_scale": float("nan")},
+            {"max_merge_blocks": -1},
+        ],
+    )
+    def test_non_finite_and_negative_merge_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            SystemConfig(**overrides).validate()
+
     def test_scaled_copies(self):
         cfg = paper_config()
         half = cfg.scaled(0.5)

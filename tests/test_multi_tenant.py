@@ -224,7 +224,7 @@ class TestConsolidatedScenarios:
         """A spawn-started worker never saw the parent's registration;
         the self-describing vms: name must rebuild it."""
         name = register_consolidation(["tpcc", "web"])
-        WORKLOADS.pop(name)  # simulate a fresh process's registry
+        WORKLOADS._entries.pop(name)  # simulate a fresh process's registry
         system = ExperimentSystem.build(name, "wb", quick_config())
         assert system.workload.tenant_count == 2
         assert name in WORKLOADS

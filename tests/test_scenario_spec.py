@@ -98,6 +98,9 @@ class TestValidation:
             {"name": "x", "sweep": {"scheme.sub": ["wb"]}},
             {"name": "x", "sweep": {"scheme": []}},
             {"name": "x", "sweep": {"scheme": "wb"}},
+            {"name": "x", "sweep": 1.5},
+            {"name": "x", "system": True},
+            {"name": "x", "base": []},
             {"bogus_only": True},
         ],
     )

@@ -213,7 +213,7 @@ def test_custom_rule_registration_roundtrip():
         violations = lint_source("x = 1  # TODO later\n", module="repro.sim.f")
         assert [v.code for v in violations] == ["SL901"]
     finally:
-        registry_mod._REGISTRY.pop("SL901")
+        registry_mod._RULES._entries.pop("SL901")
 
 
 def test_unknown_rule_error_names_the_registry():
@@ -378,6 +378,7 @@ def test_mypy_config_covers_the_sim_core():
     overrides = config["tool"]["mypy"]["overrides"]
     strict = next(o for o in overrides if o.get("disallow_untyped_defs"))
     assert set(strict["module"]) == {
+        "repro.registry",
         "repro.sim.*",
         "repro.cache.*",
         "repro.schemes.*",

@@ -205,6 +205,10 @@ class TestTraceParser:
             loads_trace("1.0 ssd Q R R 5 0 1\n")  # zero nblocks
         with pytest.raises(TraceParseError):
             loads_trace("-1.0 ssd Q R R 5 1 1\n")  # negative time
+        with pytest.raises(TraceParseError):
+            loads_trace("nan ssd Q R R 5 1 1\n")  # non-finite time
+        with pytest.raises(TraceParseError):
+            loads_trace("inf ssd Q R R 5 1 1\n")
 
 
 class TestCountersOnlyMode:
