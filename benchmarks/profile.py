@@ -61,6 +61,7 @@ except ImportError:  # pragma: no cover - path bootstrap
 
 from repro.config import SystemConfig, paper_config, quick_config  # noqa: E402
 from repro.scenario import get_scenario, scenario_descriptions  # noqa: E402
+from repro.sim.fastdraw import replication_verified  # noqa: E402
 
 DEFAULT_OUT = _REPO_ROOT / "benchmarks" / "profiles"
 
@@ -170,6 +171,9 @@ def profile_scenario(
     spec = get_scenario(name)  # raises KeyError-style on unknown names
     if config is None:
         config = quick_config(seed) if quick else paper_config(seed)
+    # The once-per-process RawDraws self-check would otherwise run
+    # inside the profile and show up as a hot frame of the scenario.
+    replication_verified()
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()

@@ -10,31 +10,29 @@ Backpressure is what keeps queue growth — and therefore simulated
 latencies — finite during bursts while still saturating the device under
 test.
 
-Arrival pre-generation
-----------------------
-The open-loop path used to re-arm itself one event at a time: each
-``_arrive`` drew a request and its next gap with scalar ``Generator``
-calls and ``schedule_call``-ed the next arrival.  Those scalar draws
-dominated the whole-run profile, so arrivals are now *pre-generated in
-chunks*: :class:`repro.sim.fastdraw.RawDraws` prefetches raw PCG64
-words and decodes the exact same draw sequence (bit for bit — the
-golden fingerprints pin it), a chunk of future arrivals enters the
-calendar as one sorted batch behind a single cancellable event, and the
-delivery callback refills the next chunk at a low-water mark so memory
-stays O(chunk), not O(horizon).  Backpressure and tenant departure roll
-the generator back to the last delivered arrival (state snapshot +
-``advance``), after which the scalar path resumes draw-for-draw where a
-never-chunked run would be.  The chunked path assumes the workload owns
-its RNG stream exclusively (which is how
-:class:`~repro.sim.rng.RngRegistry` hands them out); it engages only
-for phases whose patterns it can replicate and falls back to the scalar
-path everywhere else.
+Arrival draws
+-------------
+Each arrival draws, in this order: the write-fraction double, the
+address pattern's draw(s), and the exponential gap to the next arrival.
+Scalar ``Generator`` calls for those draws used to dominate the
+whole-run profile, so :meth:`Workload.bind` picks the *draw source*
+once: a :class:`repro.sim.fastdraw.RawDraws` over the generator's PCG64
+bit generator when every phase is one it can replicate (an ``int``
+``size_blocks`` and patterns of exactly the built-in types), and the
+``Generator`` itself otherwise.  ``RawDraws`` prefetches raw words in
+blocks and decodes the exact draws the ``Generator`` would make (bit for
+bit — the golden fingerprints pin it), so the two sources yield the same
+arrival stream.  Draws still happen one event at a time, so nothing is
+drawn ahead of its arrival and nothing ever needs rolling back.  The
+prefetch assumes the workload owns its RNG stream exclusively (which is
+how :class:`~repro.sim.rng.RngRegistry` hands them out).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,58 +50,20 @@ from repro.workloads.access_patterns import (
 __all__ = ["PhaseSpec", "Workload", "WorkloadStats"]
 
 
-def _chunkable(pattern: AddressPattern, stateful: list) -> bool:
+def _replicable(pattern: AddressPattern) -> bool:
     """Whether ``pattern``'s draws can be replicated by :class:`RawDraws`.
 
     Exact-type checks on purpose: a subclass may override ``sample`` with
-    draws the decoder does not know.  Stateful (sequential) patterns are
-    collected into ``stateful`` so chunk rollback can restore their
-    positions.
+    draws the decoder does not know.
     """
     kind = type(pattern)
-    if kind is UniformPattern or kind is ZipfPattern:
-        return True
-    if kind is SequentialPattern:
-        stateful.append(pattern)
+    if kind is UniformPattern or kind is ZipfPattern or kind is SequentialPattern:
         return True
     if kind is HotColdPattern:
         return type(pattern.hot) is UniformPattern and type(pattern.cold) is UniformPattern
     if kind is MixPattern:
-        return all(_chunkable(p, stateful) for p in pattern._patterns)
+        return all(_replicable(p) for p in pattern._patterns)
     return False
-
-
-class _ArrivalChunk:
-    """Bookkeeping for one pre-generated run of arrivals.
-
-    ``entries[i]`` is ``(time, phase_idx, is_write, lba, nblocks)``; a
-    ``phase_idx`` of ``-1`` marks the trailing "script expired" arrival
-    (the scalar path's one post-duration no-op event).  ``positions[i]``
-    is the :class:`RawDraws` stream position *after* entry ``i``'s
-    draws, so a rollback to "entry ``i`` never happened" parks the
-    generator at ``positions[i-1]`` (or ``base_pos``).  Sequential
-    patterns touched by the chunk are listed in ``stateful`` with their
-    pre-touch positions in ``stateful_base`` and per-entry snapshots in
-    ``seq_snaps``.
-    """
-
-    __slots__ = (
-        "base_state",
-        "base_pos",
-        "event",
-        "entries",
-        "triples",
-        "positions",
-        "seq_snaps",
-        "stateful",
-        "stateful_base",
-        "next_i",
-        "refill_at",
-        "refilled",
-        "t_next",
-        "fidx_next",
-        "final",
-    )
 
 
 @dataclass
@@ -137,6 +97,8 @@ class PhaseSpec:
         """Raise ``ValueError`` on inconsistent parameters."""
         if self.n_intervals <= 0:
             raise ValueError(f"phase {self.label!r}: n_intervals must be positive")
+        if not math.isfinite(self.rate_iops):
+            raise ValueError(f"phase {self.label!r}: rate_iops must be finite")
         if self.rate_iops <= 0:
             raise ValueError(f"phase {self.label!r}: rate_iops must be positive")
         if not 0.0 <= self.write_frac <= 1.0:
@@ -180,25 +142,7 @@ class Workload:
             pending deliveries, a web server's session state).  Evicting
             these is what produces the ``E`` share of the paper's queue
             mixes.
-
-    Attributes:
-        chunk_size: Arrivals pre-generated per chunk (when the chunked
-            path engages).
-        low_water: Remaining-arrival count at which the next chunk is
-            filled from the delivery callback.
     """
-
-    #: Class-level kill switch for arrival pre-generation — the
-    #: equivalence tests flip it to force the scalar path and assert the
-    #: two produce identical streams.
-    pregen_enabled: bool = True
-
-    #: Consecutive throttle-aborts that each discarded most of a chunk
-    #: before the instance falls back to the scalar path for good.  A
-    #: closed-loop workload at saturation would otherwise pre-draw and
-    #: revoke a full chunk per backpressure cycle — O(chunk) per
-    #: throttle where the scalar path pays O(1).
-    pregen_max_strikes: int = 4
 
     def __init__(
         self,
@@ -235,16 +179,11 @@ class Workload:
         self._throttled = False
         self._sim = None
         self._submit: Optional[Callable[[Request], None]] = None
-        self._rng: Optional[np.random.Generator] = None
+        # The draw source chosen at bind (see the module docstring).
+        self._rng: np.random.Generator | RawDraws | None = None
         # Derived values of the phase currently generating arrivals,
         # recomputed only on phase change (see _derived_for).
         self._phase_derived: Optional[tuple] = None
-        # Arrival pre-generation (see the module docstring).
-        self.chunk_size = 256
-        self.low_water = 16
-        self._pregen = False
-        self._pregen_strikes = 0
-        self._chunks: list[_ArrivalChunk] = []
 
     # ------------------------------------------------------------------
     @property
@@ -288,16 +227,6 @@ class Workload:
         now = self._sim.now if self._sim is not None else 0.0
         self._bounds = [min(b, now) for b in self._bounds]
         self.stats.finished = True
-        if self._chunks:
-            # Pre-generated arrivals past the truncation point must be
-            # revoked and their draws undone; the scalar world keeps
-            # exactly one pending arrival event (a no-op against the
-            # expired script), so reschedule that one.
-            head = self._chunks[0]
-            i = head.next_i
-            t_next = head.entries[i][0]
-            self._abort_pregen(head, i)
-            self._sim.schedule_call(t_next - now, self._arrive)
 
     def burst_intervals(self) -> list[int]:
         """Interval indices covered by scripted burst phases."""
@@ -319,21 +248,31 @@ class Workload:
 
         The workload assumes ``rng`` is its own stream (as the
         :class:`~repro.sim.rng.RngRegistry` and multi-tenant binding
-        provide): the chunked arrival path prefetches draws ahead of
-        simulated time, which preserves draw-for-draw equivalence only
-        when nothing else consumes from the same generator.
+        provide): the :class:`RawDraws` source prefetches raw words from
+        its bit generator, which preserves draw-for-draw equivalence
+        only when nothing else consumes from the same generator.
         """
         self._sim = sim
         self._submit = submit
-        self._rng = rng
-        bit_gen = getattr(rng, "bit_generator", None)
-        self._pregen = (
-            type(self).pregen_enabled
-            and hasattr(sim, "schedule_sorted_calls")
-            and type(bit_gen).__name__ == "PCG64"
-            and replication_verified()
-        )
+        self._rng = self._draw_source(rng)
         sim.schedule_call(self._next_gap(), self._arrive)
+
+    def _draw_source(self, rng: np.random.Generator) -> np.random.Generator | RawDraws:
+        """``RawDraws`` over ``rng``'s PCG64 words if it can replicate
+        every phase's draws, else ``rng`` itself."""
+        bit_gen = getattr(rng, "bit_generator", None)
+        if (
+            type(bit_gen) is np.random.PCG64
+            and all(
+                isinstance(phase.size_blocks, int)
+                and _replicable(phase.pattern_read)
+                and _replicable(phase.write_pattern)
+                for phase in self.phases
+            )
+            and replication_verified()
+        ):
+            return RawDraws(bit_gen)
+        return rng
 
     def on_request_complete(self, request: Request) -> None:
         """Backpressure hook: wire to the cache controller's completion."""
@@ -359,31 +298,20 @@ class Workload:
         """Cached per-phase derived values, recomputed on phase change.
 
         The tuple is ``(phase, write_frac, sample_read, sample_write,
-        fixed_size, mean_gap_us, chunkable, stateful_patterns)`` — every
-        attribute chain, isinstance dispatch, and division the arrival
-        paths (open loop, chunk fill, and the closed-loop re-arm) would
-        otherwise repeat per arrival.
+        fixed_size, mean_gap_us)`` — every attribute chain, isinstance
+        dispatch, and division the arrival paths (open loop and the
+        closed-loop re-arm) would otherwise repeat per arrival.
         """
         derived = self._phase_derived
         if derived is None or derived[0] is not phase:
-            pattern_write = phase.write_pattern
             size = phase.size_blocks
-            fixed = size if isinstance(size, int) else None
-            stateful: list[SequentialPattern] = []
-            chunkable = (
-                fixed is not None
-                and _chunkable(phase.pattern_read, stateful)
-                and _chunkable(pattern_write, stateful)
-            )
             derived = (
                 phase,
                 phase.write_frac,
                 phase.pattern_read.sample,
-                pattern_write.sample,
-                fixed,
+                phase.write_pattern.sample,
+                size if isinstance(size, int) else None,
                 1e6 / phase.rate_iops,
-                chunkable,
-                tuple(dict.fromkeys(stateful)),
             )
             self._phase_derived = derived
         return derived
@@ -408,20 +336,11 @@ class Workload:
             self.stats.throttled += 1
             self._throttled = True
             return  # resumed by on_request_complete
-        derived = self._derived_for(phase)
-        if self._pregen and derived[6]:
-            # Chunked path: pre-draw a run of arrivals (this one
-            # included), batch-schedule the rest, deliver this one now.
-            chunk = self._fill_chunk(self._sim.now, self._phase_idx)
-            # Entry 0 rides this very event; the rest enter as a batch.
-            chunk.event = self._sim.schedule_sorted_calls(chunk.triples[1:])
-            self._chunks.append(chunk)
-            self._deliver(chunk, 0)
-            return
         rng = self._rng
-        # Scalar path: one arrival per event.  Phase-derived lookups are
-        # cached until the phase changes; RNG draw order is untouched.
-        _, write_frac, sample_read, sample_write, fixed_size, mean_gap, _, _ = derived
+        # One arrival per event.  Phase-derived lookups are cached until
+        # the phase changes; RNG draw order is untouched.
+        derived = self._derived_for(phase)
+        _, write_frac, sample_read, sample_write, fixed_size, mean_gap = derived
         is_write = bool(rng.random() < write_frac)
         lba = sample_write(rng) if is_write else sample_read(rng)
         nblocks = fixed_size if fixed_size is not None else self._draw_size(phase)
@@ -434,182 +353,18 @@ class Workload:
             stats.reads += 1
         self._outstanding += 1
         self._submit(request)
-        # _next_gap inlined: the active phase is already in hand.
-        self._sim.schedule_call(float(rng.exponential(mean_gap)), self._arrive)
+        # _next_gap inlined: the active phase is already in hand.  Both
+        # draw sources return a Python float already.
+        self._sim.schedule_call(rng.exponential(mean_gap), self._arrive)
 
-    # ------------------------------------------------------------------
-    # Chunked arrival pre-generation
-    # ------------------------------------------------------------------
-    def _fill_chunk(self, t0: float, fidx0: int) -> "_ArrivalChunk":
-        """Pre-draw up to ``chunk_size`` arrivals starting at ``t0``.
+    def _deliver(self, *args: object) -> None:
+        """Retired arrival entry point: nothing calls it.
 
-        Replays the scalar loop draw for draw — per arrival: the
-        write-fraction double, the pattern draw(s), then the gap to the
-        next arrival — while tracking phase boundaries against the
-        arrival *times* exactly as ``_current_phase`` would at event
-        time.  Stops early at a phase it cannot replicate (the caller
-        falls back to a scalar arrival there) and appends the trailing
-        post-duration no-op arrival when the script runs out.  On
-        return, the real generator is parked at the end of everything
-        drawn; rollback re-parks it at any recorded entry position.
+        The benchmark's tracer (``simbench/tracing.py``) still wraps
+        ``Workload._deliver`` by name; delete this together with that
+        entry.
         """
-        bit_gen = self._rng.bit_generator
-        base_state = bit_gen.state
-        raw = RawDraws(bit_gen)
-        chunk = _ArrivalChunk()
-        chunk.base_state = base_state
-        chunk.base_pos = (0, raw.has32, raw.carry32)
-        chunk.stateful = []
-        chunk.stateful_base = []
-        bounds = self._bounds
-        phases = self.phases
-        duration = bounds[-1]
-        n_last = len(bounds) - 1
-        entries: list[tuple[float, int, bool, int, int]] = []
-        triples: list[tuple[float, Callable[..., None], tuple[Any, ...]]] = []
-        positions: list[tuple[int, bool, int]] = []
-        seq_snaps: list[tuple[int, ...]] = []
-        raw_random = raw.random
-        raw_stdexp = raw.standard_exponential
-        deliver = self._deliver
-        cur_phase = None
-        write_frac = sample_read = sample_write = fixed_size = mean_gap = None
-        stateful: tuple[SequentialPattern, ...] = ()
-        final = False
-        t = t0
-        fidx = fidx0
-        for _ in range(self.chunk_size):
-            if t >= duration:
-                # The scalar world's one arrival past the script: it
-                # fires, sees an expired script, draws nothing.
-                triples.append((t, deliver, (chunk, len(entries))))
-                entries.append((t, -1, False, 0, 0))
-                positions.append((raw.words_used, raw.has32, raw.carry32))
-                if chunk.stateful:
-                    seq_snaps.append(tuple(p._pos for p in chunk.stateful))
-                final = True
-                break
-            while fidx < n_last and t >= bounds[fidx]:
-                fidx += 1
-            phase = phases[fidx]
-            if phase is not cur_phase:
-                derived = self._derived_for(phase)
-                if not derived[6]:
-                    break  # unsupported phase: hand over to the scalar path
-                _, write_frac, sample_read, sample_write, fixed_size, mean_gap, _, stateful = derived
-                for p in stateful:
-                    if p not in chunk.stateful:
-                        if not chunk.stateful and entries:
-                            # First stateful pattern appeared mid-chunk:
-                            # earlier entries carry empty snapshots.
-                            seq_snaps.extend(() for _ in entries)
-                        chunk.stateful.append(p)
-                        chunk.stateful_base.append(p._pos)
-                cur_phase = phase
-            is_write = raw_random() < write_frac
-            lba = sample_write(raw) if is_write else sample_read(raw)
-            triples.append((t, deliver, (chunk, len(entries))))
-            entries.append((t, fidx, is_write, lba, fixed_size))
-            # The scalar _arrive draws write, lba, *and the next gap* in
-            # one event — the position "after entry i" must sit past the
-            # gap draw or a rollback replays it as the resume gap.
-            t = t + mean_gap * raw_stdexp()
-            positions.append((raw.words_used, raw.has32, raw.carry32))
-            if chunk.stateful:
-                seq_snaps.append(tuple(p._pos for p in chunk.stateful))
-        RawDraws.park(bit_gen, base_state, (raw.words_used, raw.has32, raw.carry32))
-        chunk.entries = entries
-        chunk.triples = triples
-        chunk.positions = positions
-        chunk.seq_snaps = seq_snaps
-        chunk.next_i = 0
-        chunk.refill_at = max(len(entries) - self.low_water, 1)
-        chunk.refilled = False
-        chunk.t_next = t
-        chunk.fidx_next = fidx
-        chunk.final = final
-        return chunk
-
-    def _deliver(self, chunk: "_ArrivalChunk", i: int) -> None:
-        """Deliver pre-generated arrival ``i`` — the chunked ``_arrive``."""
-        t, fidx, is_write, lba, nblocks = chunk.entries[i]
-        if fidx < 0:  # the script expired at fill time
-            self.stats.finished = True
-            self._chunks.clear()
-            return
-        self._phase_idx = fidx
-        if self._outstanding >= self.max_outstanding:
-            self.stats.throttled += 1
-            self._throttled = True
-            # This arrival never happened: undo its draws and revoke the
-            # rest of the chunk; on_request_complete re-arms scalar.
-            # When most of the chunk is being thrown away the workload
-            # is saturating its concurrency bound, and every resume
-            # would refill a chunk only to revoke it again — after
-            # pregen_max_strikes such aborts in a row, stay scalar for
-            # good.  The rollback below restores the exact scalar
-            # world, so the switch cannot perturb the stats.
-            if i * 4 < len(chunk.entries):
-                self._pregen_strikes += 1
-                if self._pregen_strikes >= self.pregen_max_strikes:
-                    self._pregen = False
-            else:
-                self._pregen_strikes = 0
-            self._abort_pregen(chunk, i)
-            return
-        chunk.next_i = i + 1
-        request = Request(t, lba, nblocks, is_write)
-        stats = self.stats
-        stats.generated += 1
-        if is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-        self._outstanding += 1
-        self._submit(request)
-        if chunk.next_i == len(chunk.entries):
-            self._chunks.remove(chunk)
-        if not chunk.refilled and not chunk.final and chunk.next_i >= chunk.refill_at:
-            chunk.refilled = True
-            self._pregen_strikes = 0  # a well-consumed chunk clears the count
-            self._refill(chunk)
-
-    def _refill(self, chunk: "_ArrivalChunk") -> None:
-        """Low-water callback: pre-draw the chunk after ``chunk``."""
-        new = self._fill_chunk(chunk.t_next, chunk.fidx_next)
-        if not new.entries:
-            # The continuation phase cannot be pre-generated: schedule
-            # the one arrival the scalar world would have pending.
-            self._sim.schedule_call(chunk.t_next - self._sim.now, self._arrive)
-            return
-        new.event = self._sim.schedule_sorted_calls(new.triples)
-        self._chunks.append(new)
-
-    def _abort_pregen(self, chunk: "_ArrivalChunk", i: int) -> None:
-        """Roll the world back to "entry ``i`` of ``chunk`` never fired".
-
-        Cancels every still-pending pre-generated arrival (one shared
-        event per chunk), rewinds sequential-pattern positions, and
-        parks the generator after entry ``i - 1``'s draws, so subsequent
-        scalar draws continue bit-identically to a never-chunked run.
-        Chunks filled after ``chunk`` are discarded wholesale — their
-        draws sit past the park point and their pattern state is undone
-        first (restores are absolute, latest fill first).
-        """
-        chunks = self._chunks
-        for later in reversed(chunks):
-            later.event.cancel()
-            if later is chunk:
-                break
-            for idx, p in enumerate(later.stateful):
-                p._pos = later.stateful_base[idx]
-        if chunk.stateful:
-            snap = chunk.seq_snaps[i - 1] if i else ()
-            for idx, p in enumerate(chunk.stateful):
-                p._pos = snap[idx] if idx < len(snap) else chunk.stateful_base[idx]
-        pos = chunk.positions[i - 1] if i else chunk.base_pos
-        RawDraws.park(self._rng.bit_generator, chunk.base_state, pos)
-        chunks.clear()
+        raise NotImplementedError("Workload._deliver is retired; arrivals use _arrive")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

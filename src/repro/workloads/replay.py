@@ -38,10 +38,9 @@ from repro.workloads.base import WorkloadStats
 
 __all__ = ["ReplayWorkload", "CHUNK_RECORDS"]
 
-#: Default arrivals pulled and scheduled per streaming chunk.  Matches
-#: the order of magnitude of the scripted workloads' chunked
-#: pre-generation: big enough to amortize scheduling, small enough that
-#: a chunk is invisible in peak RSS.
+#: Default arrivals pulled and scheduled per streaming chunk: big enough
+#: to amortize scheduling, small enough that a chunk is invisible in
+#: peak RSS.
 CHUNK_RECORDS = 4096
 
 

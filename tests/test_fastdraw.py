@@ -1,20 +1,28 @@
 """Unit tests for the raw-word draw replication (repro.sim.fastdraw).
 
-Two layers: draw-for-draw checks of :class:`RawDraws` against a live
-``numpy.random.Generator``, and end-to-end equivalence of the chunked
-arrival pre-generator against the scalar path it replaces (same
-scenario, ``pregen_enabled`` flipped, identical stats fingerprints).
+Three layers: draw-for-draw checks of :class:`RawDraws` against a live
+``numpy.random.Generator``, the same check one level up through every
+address pattern a workload can sample through ``RawDraws``, and
+end-to-end equivalence of the two arrival draw sources (same scenario,
+``RawDraws`` vs ``Generator``, identical stats fingerprints).
 """
 
 import numpy as np
 import pytest
 
+import repro.workloads.base as workload_base
 from repro.config import quick_config
 from repro.scenario import get_scenario
 from repro.scenario.fingerprint import stats_fingerprint
 from repro.sim.engine import Simulator
 from repro.sim.fastdraw import RawDraws, replication_verified
-from repro.workloads.access_patterns import UniformPattern
+from repro.workloads.access_patterns import (
+    HotColdPattern,
+    MixPattern,
+    SequentialPattern,
+    UniformPattern,
+    ZipfPattern,
+)
 from repro.workloads.base import PhaseSpec, Workload
 
 
@@ -60,30 +68,6 @@ class TestRawDraws:
             else:
                 assert raw.exponential(3.0) == float(ref.exponential(3.0))
 
-    def test_park_roundtrip_continues_scalar_stream(self):
-        ref, bg, raw = _pair(42)
-        base = bg.state
-        for _ in range(333):
-            assert raw.random() == ref.random()
-        RawDraws.park(bg, base, raw.position())
-        cont = np.random.Generator(bg)
-        assert [float(cont.random()) for _ in range(100)] == [
-            float(ref.random()) for _ in range(100)
-        ]
-
-    def test_park_restores_halfword_carry(self):
-        # An odd number of 32-bit bounded draws leaves half a word
-        # buffered; the park must hand that carry back to numpy.
-        ref, bg, raw = _pair(5150)
-        base = bg.state
-        for _ in range(7):
-            assert raw.integers(0, 1000) == int(ref.integers(0, 1000))
-        assert raw.has32  # precondition: a carry is actually pending
-        RawDraws.park(bg, base, raw.position())
-        cont = np.random.Generator(bg)
-        for _ in range(20):
-            assert int(cont.integers(0, 1000)) == int(ref.integers(0, 1000))
-
     def test_inherits_existing_halfword_carry(self):
         # A generator mid-stream (odd bounded draw already made) must be
         # picked up carry and all.
@@ -106,8 +90,43 @@ class TestRawDraws:
         assert replication_verified()
 
 
-class TestPregenEquivalence:
-    """Chunked pre-generation must be invisible in every statistic."""
+#: Fresh-pattern factories: every pattern kind the RawDraws source
+#: accepts, including a stateful one inside a mixture.
+_PATTERNS = {
+    "uniform": lambda: UniformPattern(100, 4099),
+    "zipf": lambda: ZipfPattern(0, 2990, s=1.1, perm_seed=3),
+    "hotcold": lambda: HotColdPattern(0, 97, 1000, 98304, hot_prob=0.8),
+    "sequential": lambda: SequentialPattern(50, 1000, stride=7),
+    "mix_with_sequential": lambda: MixPattern(
+        [
+            (0.5, UniformPattern(0, 10_007)),
+            (0.3, SequentialPattern(20_000, 500, stride=2)),
+            (0.2, ZipfPattern(30_000, 640, s=0.9)),
+        ]
+    ),
+}
+
+
+class TestPatternsThroughRawDraws:
+    @pytest.mark.parametrize("kind", sorted(_PATTERNS))
+    def test_pattern_samples_match_generator(self, kind):
+        ref, _bg, raw = _pair(4242)
+        via_ref, via_raw = _PATTERNS[kind](), _PATTERNS[kind]()
+        for _ in range(3_000):
+            assert via_raw.sample(raw) == via_ref.sample(ref)
+
+
+class TestDrawSourceEquivalence:
+    """The RawDraws draw source must be invisible in every statistic.
+
+    ``replication_verified`` returning ``False`` is the one condition
+    under which a workload binds to its ``Generator``, so patching it
+    forces the ``Generator`` source for the comparison run.
+    """
+
+    @staticmethod
+    def _force_generator(monkeypatch):
+        monkeypatch.setattr(workload_base, "replication_verified", lambda: False)
 
     def _fingerprint(self, scenario: str) -> dict:
         result = get_scenario(scenario).run(config=quick_config(7))
@@ -116,18 +135,20 @@ class TestPregenEquivalence:
     @pytest.mark.parametrize(
         "scenario",
         [
-            # Single VM: the plain open-loop fast path.
+            # Single VM: the plain open-loop path.
             "fig4_single_vm",
-            # Multi-tenant with arrivals/departures mid-run: chunk
-            # rollback on tenant departure plus closed-loop phases.
+            # Multi-tenant with arrivals/departures mid-run: tenants
+            # bound and stopped mid-run, closed-loop phases.
             "churn_consolidated",
+            # Three tenants under backpressure most of the run.
+            "consolidated3_dynshare",
         ],
     )
-    def test_chunked_matches_scalar_path(self, scenario, monkeypatch):
-        chunked = self._fingerprint(scenario)
-        monkeypatch.setattr(Workload, "pregen_enabled", False)
-        scalar = self._fingerprint(scenario)
-        assert chunked == scalar
+    def test_raw_draws_match_generator(self, scenario, monkeypatch):
+        raw = self._fingerprint(scenario)
+        self._force_generator(monkeypatch)
+        generator = self._fingerprint(scenario)
+        assert raw == generator
 
     def _saturated_run(self, wl):
         """Drive ``wl`` closed-loop at saturation; returns arrival times.
@@ -147,7 +168,7 @@ class TestPregenEquivalence:
         sim.run(until=wl.duration_us)
         return times
 
-    def _closed_loop_workload(self):
+    def _workload(self, size_blocks=1):
         return Workload(
             "t",
             [
@@ -157,45 +178,29 @@ class TestPregenEquivalence:
                     rate_iops=100_000.0,
                     write_frac=0.5,
                     pattern_read=UniformPattern(0, 1000),
+                    size_blocks=size_blocks,
                 )
             ],
             interval_us=10_000.0,
             max_outstanding=4,
         )
 
-    def test_saturated_closed_loop_abandons_pregen(self, monkeypatch):
-        # Each throttle-abort discards a mostly-unconsumed chunk; after
-        # pregen_max_strikes in a row the instance must go scalar so a
-        # backpressured workload never refills chunks per completion.
-        fills = []
-        orig_fill = Workload._fill_chunk
-        monkeypatch.setattr(
-            Workload,
-            "_fill_chunk",
-            lambda self, t0, f0: fills.append(t0) or orig_fill(self, t0, f0),
-        )
-        wl = self._closed_loop_workload()
+    def test_saturated_closed_loop_matches_generator(self, monkeypatch):
+        wl = self._workload()
+        raw = self._saturated_run(wl)
+        assert isinstance(wl._rng, RawDraws)
+        assert wl.stats.throttled > 100  # the bound really was pinned
+        self._force_generator(monkeypatch)
+        wl = self._workload()
+        generator = self._saturated_run(wl)
+        assert isinstance(wl._rng, np.random.Generator)
+        assert raw == generator
+
+    def test_drawn_sizes_bind_to_generator(self):
+        # RawDraws does not decode Generator.choice, so a phase with a
+        # (choices, probabilities) size keeps the whole workload on the
+        # Generator.
+        wl = self._workload(size_blocks=((1, 8), (0.75, 0.25)))
         times = self._saturated_run(wl)
-        assert wl.stats.throttled > Workload.pregen_max_strikes
-        assert not wl._pregen  # opted out
-        assert len(fills) <= Workload.pregen_max_strikes
-        assert len(times) > 100  # the run itself kept going, scalar
-
-    def test_fallback_stream_matches_scalar_path(self, monkeypatch):
-        chunked = self._saturated_run(self._closed_loop_workload())
-        monkeypatch.setattr(Workload, "pregen_enabled", False)
-        scalar = self._saturated_run(self._closed_loop_workload())
-        assert chunked == scalar
-
-    def test_pregen_gate_respects_class_flag(self, monkeypatch):
-        monkeypatch.setattr(Workload, "pregen_enabled", False)
-        system = get_scenario("fig4_single_vm").build(quick_config(7))
-        workloads = system.workloads if hasattr(system, "workloads") else None
-        # Whatever the container shape, every bound workload must have
-        # declined pre-generation.
-        bound = (
-            list(workloads.values())
-            if isinstance(workloads, dict)
-            else list(workloads or [system.workload])
-        )
-        assert bound and all(not w._pregen for w in bound)
+        assert isinstance(wl._rng, np.random.Generator)
+        assert len(times) > 100

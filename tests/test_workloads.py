@@ -109,6 +109,13 @@ class TestPhaseSpec:
         with pytest.raises(ValueError):
             self._phase(write_frac=1.5).validate()
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        # NaN slips past a "<= 0" test and would schedule NaN-time
+        # arrivals; inf would schedule them all at one instant.
+        with pytest.raises(ValueError, match="'burst'.*rate_iops must be finite"):
+            self._phase(label="burst", rate_iops=rate).validate()
+
     def test_write_pattern_defaults_to_read(self):
         p = self._phase()
         assert p.write_pattern is p.pattern_read
