@@ -48,13 +48,15 @@ class StoreStats:
 
 
 class _CacheSet:
-    """One associativity set: ordered entries + policy instance."""
+    """One associativity set: ordered entries, policy and dirty count."""
 
-    __slots__ = ("entries", "policy")
+    __slots__ = ("entries", "policy", "dirty")
 
     def __init__(self, policy: ReplacementPolicy) -> None:
         self.entries: dict[int, CacheBlock] = {}
         self.policy = policy
+        #: Dirty entries in this set (the flusher skips sets at 0).
+        self.dirty = 0
 
 
 class CacheStore:
@@ -93,7 +95,9 @@ class CacheStore:
         ]
         self.stats = StoreStats()
         self._occupied = 0
-        self._dirty = 0
+        #: LBAs of the resident dirty blocks: an exact index kept at every
+        #: dirty transition, so readers never rescan the sets for it.
+        self.dirty_lbas: set[int] = set()
 
     # ------------------------------------------------------------------
     # Addressing
@@ -146,7 +150,8 @@ class CacheStore:
         if existing is not None:
             if dirty and not existing.dirty:
                 existing.dirty = True
-                self._dirty += 1
+                cset.dirty += 1
+                self.dirty_lbas.add(lba)
             existing.touch(now)
             cset.policy.on_access(cset.entries, existing)
             return existing, None
@@ -155,11 +160,11 @@ class CacheStore:
         if len(cset.entries) >= self.associativity:
             victim_lba = cset.policy.choose_victim(cset.entries)
             victim = cset.entries.pop(victim_lba)
-            if victim.dirty:
-                self._dirty -= 1
             self._occupied -= 1
             self.stats.evictions += 1
             if victim.dirty:
+                cset.dirty -= 1
+                self.dirty_lbas.remove(victim_lba)
                 self.stats.dirty_evictions += 1
             eviction = EvictionInfo(victim_lba, victim.dirty)
 
@@ -168,7 +173,8 @@ class CacheStore:
         cset.policy.on_insert(cset.entries, block)
         self._occupied += 1
         if dirty:
-            self._dirty += 1
+            cset.dirty += 1
+            self.dirty_lbas.add(lba)
         self.stats.insertions += 1
         return block, eviction
 
@@ -180,7 +186,8 @@ class CacheStore:
             return False
         self._occupied -= 1
         if block.dirty:
-            self._dirty -= 1
+            cset.dirty -= 1
+            self.dirty_lbas.remove(lba)
         self.stats.invalidations += 1
         return True
 
@@ -189,22 +196,32 @@ class CacheStore:
     # ------------------------------------------------------------------
     def mark_dirty(self, lba: int) -> None:
         """Mark a resident block dirty (no-op if absent)."""
-        block = self.peek(lba)
+        cset = self._set_for(lba)
+        block = cset.entries.get(lba)
         if block is not None and not block.dirty:
             block.dirty = True
-            self._dirty += 1
+            cset.dirty += 1
+            self.dirty_lbas.add(lba)
 
     def mark_clean(self, lba: int) -> None:
         """Mark a resident block clean (after a flush)."""
-        block = self.peek(lba)
+        cset = self._set_for(lba)
+        block = cset.entries.get(lba)
         if block is not None and block.dirty:
             block.dirty = False
-            self._dirty -= 1
+            cset.dirty -= 1
+            self.dirty_lbas.remove(lba)
 
     def dirty_blocks(self, limit: Optional[int] = None) -> list[int]:
-        """LBAs of dirty blocks, oldest-inserted first, up to ``limit``."""
+        """LBAs of dirty blocks, oldest-inserted first, up to ``limit``.
+
+        Sets are walked in index order; sets holding no dirty block are
+        skipped without touching their entries.
+        """
         out: list[int] = []
         for cset in self._sets:
+            if not cset.dirty:
+                continue
             for lba, block in cset.entries.items():
                 if block.dirty:
                     out.append(lba)
@@ -223,7 +240,7 @@ class CacheStore:
     @property
     def dirty_count(self) -> int:
         """Number of dirty resident blocks."""
-        return self._dirty
+        return len(self.dirty_lbas)
 
     @property
     def occupancy(self) -> float:
@@ -233,7 +250,7 @@ class CacheStore:
     @property
     def dirty_ratio(self) -> float:
         """Dirty fraction of capacity."""
-        return self._dirty / self.capacity_blocks
+        return len(self.dirty_lbas) / self.capacity_blocks
 
     def __contains__(self, lba: int) -> bool:
         return self.peek(lba) is not None
@@ -245,5 +262,5 @@ class CacheStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CacheStore({self._occupied}/{self.capacity_blocks} blocks, "
-            f"{self._dirty} dirty, {self.replacement_name})"
+            f"{len(self.dirty_lbas)} dirty, {self.replacement_name})"
         )

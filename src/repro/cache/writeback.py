@@ -12,6 +12,7 @@ makes write-intensive bursts (Group 3) show a large W+E queue mix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cache.controller import CacheController
@@ -40,12 +41,16 @@ class WritebackConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-        if self.interval_us <= 0:
-            raise ValueError("interval_us must be positive")
+        if not (0 < self.interval_us < math.inf):  # also rejects NaN
+            raise ValueError(
+                f"interval_us must be positive and finite, got {self.interval_us!r}"
+            )
         if not (0.0 <= self.low_watermark <= self.high_watermark <= 1.0):
             raise ValueError("watermarks must satisfy 0 <= low <= high <= 1")
-        if self.batch < 0 or self.panic_batch < 0:
-            raise ValueError("batch sizes must be non-negative")
+        for name in ("batch", "panic_batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
 class WritebackFlusher:

@@ -193,7 +193,7 @@ class StorageDevice:
             inflight.add(op.op_id)
             qstats.dispatched += 1
             service = service_time(op, now)
-            if service < 0:
+            if not service >= 0:  # also rejects NaN
                 raise ValueError(f"{self.name}: negative service time {service}")
             stats.busy_time += service
             if observers:

@@ -32,6 +32,7 @@ count against any quota.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.cache.store import CacheStore
@@ -87,7 +88,8 @@ class QuotaAllocator:
     Args:
         store: The shared cache store (consulted so re-writes of
             already-resident blocks are always admitted — they grow
-            nothing — and so recycling can check victim dirtiness).
+            nothing — and so recycling can check victim dirtiness,
+            first against the store's dirty index).
         default_quota_blocks: Quota applied to tenants that were never
             given an explicit one via :meth:`set_quota`.
         recycle_scan_limit: How many of a tenant's oldest owned blocks
@@ -109,10 +111,12 @@ class QuotaAllocator:
     ) -> None:
         if default_quota_blocks < 0:
             raise ValueError("default_quota_blocks must be non-negative")
-        if recycle_scan_limit < 1:
-            raise ValueError("recycle_scan_limit must be >= 1")
-        if drain_limit < 1:
-            raise ValueError("drain_limit must be >= 1")
+        for name, value in (
+            ("recycle_scan_limit", recycle_scan_limit),
+            ("drain_limit", drain_limit),
+        ):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         self.store = store
         self.default_quota_blocks = default_quota_blocks
         self.recycle_scan_limit = recycle_scan_limit
@@ -181,17 +185,21 @@ class QuotaAllocator:
         owned = self._owned.get(tenant_id)
         if not owned:
             return False
+        store = self.store
+        limit = self.recycle_scan_limit
+        # Dirty blocks are always resident, so a window wholly inside the
+        # store's dirty index holds no clean victim: deny without peeking.
+        if store.dirty_lbas.issuperset(islice(owned, limit)):
+            return False
         victim = None
-        for i, old_lba in enumerate(owned):
-            if i >= self.recycle_scan_limit:
-                break
-            block = self.store.peek(old_lba)
+        for old_lba in islice(owned, limit):
+            block = store.peek(old_lba)
             if block is not None and not block.dirty:
                 victim = old_lba
                 break
         if victim is None:
             return False
-        self.store.invalidate(victim)
+        store.invalidate(victim)
         self.note_remove(victim)
         self.recycled[tenant_id] = self.recycled.get(tenant_id, 0) + 1
         return True

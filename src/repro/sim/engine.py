@@ -111,10 +111,10 @@ class Simulator:
             The scheduled :class:`Event` (may be cancelled later).
 
         Raises:
-            SimulationError: If ``delay`` is negative.
+            SimulationError: If ``delay`` is negative or NaN.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} µs into the past")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"invalid delay {delay} µs (must be >= 0)")
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
@@ -132,10 +132,10 @@ class Simulator:
         when the caller needs a cancellation handle.
 
         Raises:
-            SimulationError: If ``delay`` is negative.
+            SimulationError: If ``delay`` is negative or NaN.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} µs into the past")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"invalid delay {delay} µs (must be >= 0)")
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (self.now + delay, seq, fn, args, _NO_EVENT))
@@ -144,9 +144,9 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute time ``time`` (µs).
 
         Raises:
-            SimulationError: If ``time`` is before the current time.
+            SimulationError: If ``time`` is before the current time or NaN.
         """
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self.now})"
             )
@@ -176,8 +176,8 @@ class Simulator:
             The scheduled events, in input order.
 
         Raises:
-            SimulationError: If an item is before the current time or the
-                batch is not sorted.  The batch is atomic: on error,
+            SimulationError: If an item is NaN, before the current time,
+                or the batch is not sorted.  The batch is atomic: on error,
                 nothing is scheduled and no sequence numbers are consumed.
         """
         seq = self._seq
@@ -185,7 +185,7 @@ class Simulator:
         entries: list[_HeapEntry] = []
         events: list[Event] = []
         for time, fn, args in items:
-            if time < prev:
+            if not time >= prev:  # also rejects NaN
                 raise SimulationError(
                     f"batch not sorted or in the past at t={time} "
                     f"(previous t={prev}, now t={self.now})"
@@ -228,8 +228,8 @@ class Simulator:
             An empty batch returns an inert event.
 
         Raises:
-            SimulationError: If an item is before the current time or
-                the batch is not sorted.  The batch is atomic: on error
+            SimulationError: If an item is NaN, before the current time,
+                or the batch is not sorted.  The batch is atomic: on error
                 nothing is scheduled and no sequence numbers are used.
         """
         seq = self._seq
@@ -237,7 +237,7 @@ class Simulator:
         event: Event | None = None
         entries: list[_HeapEntry] = []
         for time, fn, args in items:
-            if time < prev:
+            if not time >= prev:  # also rejects NaN
                 raise SimulationError(
                     f"batch not sorted or in the past at t={time} "
                     f"(previous t={prev}, now t={self.now})"
@@ -277,14 +277,14 @@ class Simulator:
         schedules nothing.
 
         Raises:
-            SimulationError: If any delay is negative.
+            SimulationError: If any delay is negative or NaN.
         """
         now = self.now
         seq = self._seq
         entries: list[_HeapEntry] = []
         for delay, fn, args in items:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule {delay} µs into the past")
+            if not delay >= 0:  # also rejects NaN
+                raise SimulationError(f"invalid delay {delay} µs (must be >= 0)")
             entries.append((now + delay, seq, fn, args, _NO_EVENT))
             seq += 1
         self._seq = seq

@@ -18,6 +18,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             WritebackConfig(batch=-1).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("interval_us", float("nan")),
+            ("interval_us", float("inf")),
+            ("interval_us", -1.0),
+            ("batch", float("nan")),
+            ("batch", 2.0),
+            ("batch", True),
+            ("batch", "2"),
+            ("panic_batch", -1),
+            ("panic_batch", float("inf")),
+            ("panic_batch", False),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WritebackConfig(**{field: value}).validate()
+
+    def test_zero_batches_allowed(self):
+        WritebackConfig(batch=0, panic_batch=0).validate()
+
 
 class TestFlusher:
     def _dirty_fill(self, sim, controller, n):

@@ -215,3 +215,17 @@ class TestStorageDevice:
         sim = Simulator()
         with pytest.raises(ValueError):
             StorageDevice(sim, "x", SsdModel(), depth=0)
+
+    @pytest.mark.parametrize("service", [-1.0, float("nan")])
+    def test_invalid_service_time_rejected(self, service):
+        class BadModel:
+            nominal_read_us = nominal_write_us = 100.0
+
+            def service_time(self, op, now):
+                return service
+
+        sim = Simulator()
+        dev = StorageDevice(sim, "x", BadModel())
+        with pytest.raises(ValueError, match="negative service time"):
+            dev.submit(read_op())
+        assert sim.pending_events == 0

@@ -9,6 +9,7 @@ from repro.cache.store import CacheStore
 from repro.core.characterization import QueueMix, WorkloadCharacterizer, WorkloadGroup
 from repro.io.device_queue import DeviceQueue
 from repro.io.request import DeviceOp, OpTag
+from repro.schemes.allocation import QuotaAllocator
 from repro.sim.engine import Simulator
 from repro.trace.iostat import eq1_queue_time
 
@@ -18,17 +19,35 @@ from repro.trace.iostat import eq1_queue_time
 
 ops_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "insert_dirty", "invalidate", "lookup", "clean"]),
+        st.sampled_from(
+            [
+                "insert",
+                "insert_dirty",
+                "invalidate",
+                "lookup",
+                "clean",
+                "mark_dirty",
+                "evict_dirty",
+            ]
+        ),
         st.integers(min_value=0, max_value=255),
     ),
     max_size=200,
 )
 
 
+def _assert_dirty_index_exact(store):
+    """The store's dirty index and per-set counts agree with a recount."""
+    assert store.dirty_lbas == {b.lba for b in store if b.dirty}
+    for cset in store._sets:
+        assert cset.dirty == sum(1 for b in cset.entries.values() if b.dirty)
+    assert store.dirty_count == len(store.dirty_lbas)
+
+
 @given(ops=ops_strategy, repl=st.sampled_from(["lru", "fifo", "clock", "lfu"]))
 @settings(max_examples=60, deadline=None)
 def test_store_invariants_under_random_ops(ops, repl):
-    """Residency ≤ capacity; dirty ⊆ resident; per-set bounds hold."""
+    """Residency ≤ capacity; dirty ⊆ resident; the dirty index is exact."""
     store = CacheStore(32, associativity=4, replacement=repl)
     now = 0.0
     for action, lba in ops:
@@ -43,9 +62,17 @@ def test_store_invariants_under_random_ops(ops, repl):
             store.lookup(lba, now)
         elif action == "clean":
             store.mark_clean(lba)
+        elif action == "mark_dirty":
+            store.mark_dirty(lba)
+        elif action == "evict_dirty":
+            # one more dirty block than the set holds: at least one of
+            # them is evicted while dirty
+            for k in range(1, store.associativity + 2):
+                store.insert(lba + k * store.num_sets, now, dirty=True)
 
         assert 0 <= store.occupied <= store.capacity_blocks
         assert 0 <= store.dirty_count <= store.occupied
+        _assert_dirty_index_exact(store)
 
     # recount from scratch: cached counters must agree with reality
     resident = list(store)
@@ -57,6 +84,83 @@ def test_store_invariants_under_random_ops(ops, repl):
     # every block lives in its home set
     for block in resident:
         assert store.set_index(block.lba) < store.num_sets
+
+
+# ---------------------------------------------------------------------------
+# Dirty-index fast paths vs. plain reference scans
+# ---------------------------------------------------------------------------
+
+
+def _reference_recycle_victim(store, owned, limit):
+    """The oldest clean resident block among the first ``limit`` owned."""
+    for i, lba in enumerate(owned):
+        if i >= limit:
+            break
+        block = store.peek(lba)
+        if block is not None and not block.dirty:
+            return lba
+    return None
+
+
+def _reference_dirty_blocks(store, limit):
+    """Dirty LBAs in set order, stopping once ``limit`` are collected."""
+    out = []
+    for block in store:
+        if block.dirty:
+            out.append(block.lba)
+            if limit is not None and len(out) >= limit:
+                break
+    return out
+
+
+@given(
+    inserts=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=95),
+            st.integers(min_value=0, max_value=3),
+        ),
+        max_size=120,
+    ),
+    dirty_below=st.integers(min_value=0, max_value=4),
+    owned=st.lists(st.integers(min_value=0, max_value=127), unique=True, max_size=48),
+    scan_limit=st.integers(min_value=1, max_value=24),
+    flush_limit=st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+    repl=st.sampled_from(["lru", "fifo", "clock", "lfu"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_dirty_fast_paths_match_reference_scans(
+    inserts, dirty_below, owned, scan_limit, flush_limit, repl
+):
+    """Recycling and the flusher's listing equal the scans they replace.
+
+    ``dirty_below`` sets the dirty share (0: all clean, 4: all dirty) so
+    wholly dirty windows are common.  Owned LBAs are in random order and
+    include addresses that were never inserted or were evicted since.
+    """
+    store = CacheStore(32, associativity=4, replacement=repl)
+    for now, (lba, draw) in enumerate(inserts):
+        store.insert(lba, float(now), dirty=draw < dirty_below)
+    alloc = QuotaAllocator(store, default_quota_blocks=0, recycle_scan_limit=scan_limit)
+    for lba in owned:
+        alloc.note_insert(0, lba)
+
+    reference = _reference_dirty_blocks(store, flush_limit)
+    assert store.dirty_blocks(flush_limit) == reference
+
+    while True:
+        owned_now = list(alloc._owned.get(0, ()))
+        expected = _reference_recycle_victim(store, owned_now, scan_limit)
+        recycled = alloc.recycled.get(0, 0)
+        assert alloc._recycle_one(0) is (expected is not None)
+        _assert_dirty_index_exact(store)
+        if expected is None:
+            assert alloc.recycled.get(0, 0) == recycled
+            break
+        assert expected not in store
+        assert expected not in alloc._owned[0]
+        assert alloc.recycled[0] == recycled + 1
+    reference = _reference_dirty_blocks(store, flush_limit)
+    assert store.dirty_blocks(flush_limit) == reference
 
 
 @given(

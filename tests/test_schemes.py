@@ -216,6 +216,12 @@ class TestQuotaAllocator:
         assert allocator.admit(1, 100)
         assert allocator.quota_for(1) == 4
 
+    @pytest.mark.parametrize("field", ["recycle_scan_limit", "drain_limit"])
+    @pytest.mark.parametrize("value", [0, -3, 2.0, float("nan"), True, "8", None])
+    def test_bad_limits_rejected(self, store, field, value):
+        with pytest.raises(ValueError, match=field):
+            QuotaAllocator(store, default_quota_blocks=2, **{field: value})
+
     def test_share_helpers(self):
         assert fair_shares(4096, 4, 64) == {0: 1024, 1: 1024, 2: 1024, 3: 1024}
         shares = proportional_shares(4096, 3, [2.0], 64)

@@ -70,6 +70,35 @@ class TestScheduling:
         assert sim.now == 4.0
 
 
+NAN = float("nan")
+
+
+def _nop():
+    pass
+
+
+class TestNaNRejected:
+    """NaN fails every ``<`` check, so each entry point tests ``not >=``."""
+
+    @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("schedule", (NAN, _nop)),
+            ("schedule_call", (NAN, _nop)),
+            ("schedule_at", (NAN, _nop)),
+            ("schedule_calls", ([(1.0, _nop, ()), (NAN, _nop, ())],)),
+            ("schedule_sorted_at", ([(NAN, _nop, ())],)),
+            ("schedule_sorted_calls", ([(1.0, _nop, ()), (NAN, _nop, ())],)),
+        ],
+    )
+    def test_nan_time_rejected(self, method, args):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(*args)
+        assert sim.pending_events == 0
+        assert sim.schedule(1.0, _nop).seq == 0
+
+
 class TestRunUntil:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
