@@ -216,8 +216,11 @@ class CacheStore:
         """LBAs of dirty blocks, oldest-inserted first, up to ``limit``.
 
         Sets are walked in index order; sets holding no dirty block are
-        skipped without touching their entries.
+        skipped without touching their entries.  A ``limit`` of 0 (or
+        less) returns nothing.
         """
+        if limit is not None and limit <= 0:
+            return []
         out: list[int] = []
         for cset in self._sets:
             if not cset.dirty:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Protocol
 
 from repro.io.device_queue import DeviceQueue
 from repro.io.request import DeviceOp
-from repro.sim.engine import _NO_EVENT
+from repro.sim.engine import _NO_EVENT  # simlint: ignore[SL011] single-op fast path
 
 __all__ = ["ServiceModel", "StorageDevice", "DeviceStats"]
 
@@ -214,10 +214,11 @@ class StorageDevice:
             # Completions are never cancelled.  Inlined
             # sim.schedule_call(first_service, complete, op, service):
             # the single-op round is the dominant dispatch outcome, and
-            # service >= 0 was already checked above.
+            # service >= 0 was already checked above.  The entry layout
+            # must match Simulator.schedule_call exactly.
             sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
+            seq = sim._seq  # simlint: ignore[SL011] inlined schedule_call, see above
+            sim._seq = seq + 1  # simlint: ignore[SL011] inlined schedule_call
             entry = (
                 now + first_service,
                 seq,
@@ -225,7 +226,7 @@ class StorageDevice:
                 (first_op, first_service),
                 _NO_EVENT,
             )
-            heappush(sim._heap, entry)
+            heappush(sim._heap, entry)  # simlint: ignore[SL011] inlined schedule_call
 
     def _complete(self, op: DeviceOp, service: float) -> None:
         now = self.sim.now

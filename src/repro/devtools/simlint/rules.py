@@ -28,6 +28,7 @@ __all__ = [
     "PrintRule",
     "ProfilerImportRule",
     "TelemetryGuardRule",
+    "CalendarInternalsRule",
 ]
 
 #: The deterministic simulation core: everything here must be a pure
@@ -638,3 +639,47 @@ class TelemetryGuardRule(Rule):
             if name in self._RECEIVERS or "enabled" in name:
                 return True
         return False
+
+
+@register_rule
+class CalendarInternalsRule(Rule):
+    code = "SL011"
+    title = "the event calendar's internals stay inside repro.sim"
+    explanation = (
+        "Simulator._heap, Simulator._seq and repro.sim.engine._NO_EVENT\n"
+        "are the calendar's internals: the heap entry layout\n"
+        "(time, seq, fn, args, event), the sequence counter that breaks\n"
+        "time ties, and the shared never-cancelled sentinel.  Event order\n"
+        "-- and with it every golden fingerprint -- depends on all three\n"
+        "staying consistent, so only repro.sim may touch them.  Schedule\n"
+        "through the Simulator API instead (schedule_call, schedule_calls,\n"
+        "reserve_seqs + schedule_reserved).  An inlined fast path that\n"
+        "measurably pays off may keep a justified pragma on each line."
+    )
+
+    _ATTRS = frozenset({"_heap", "_seq", "_NO_EVENT"})
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if ctx.module_in(("repro.sim",)):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "repro.sim.engine":
+                if any(alias.name == "_NO_EVENT" for alias in node.names):
+                    yield self.violation(
+                        ctx, node, "_NO_EVENT imported outside repro.sim"
+                    )
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in self._ATTRS
+                # an object's own private attributes are its own business
+                and not (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id in ("self", "cls")
+                )
+            ):
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"calendar internal '.{node.attr}' used outside "
+                    "repro.sim; schedule through the Simulator API",
+                )

@@ -18,13 +18,12 @@ so its constant factors dominate whole-run wall clock):
   plus positional arguments rather than closures, so the per-event cost
   is one call with no cell-variable indirection and no per-event closure
   allocation.
-- :meth:`schedule_sorted_at` batch-schedules pre-sorted arrival scripts
-  (e.g. trace replay): on an empty calendar a sorted list *is* a valid
-  heap, so the whole batch is appended in O(n) with no sift churn.
-- :meth:`schedule_sorted_calls` is streaming trace replay's variant:
-  the whole batch shares ONE cancellable :class:`Event`, so a chunk of
-  replayed arrivals costs one allocation and can be revoked wholesale
-  with a single ``cancel()``.
+- :meth:`reserve_seqs` + :meth:`schedule_reserved` let trace replay
+  keep one pending arrival instead of a whole chunk: a chunk claims its
+  block of sequence numbers up front and each arrival, when it fires,
+  pushes the next under its reserved number.  Every entry pops under
+  the ``(time, seq)`` key that inserting the whole chunk at once would
+  give it, while the calendar stays a few entries deep.
 - :meth:`schedule_calls` batch-inserts a dispatch round's completions;
   :meth:`run` drains runs of equal-timestamp entries without re-entering
   the loop header.  Neither changes observable order: entries still pop
@@ -45,7 +44,7 @@ Example:
 from __future__ import annotations
 
 import gc
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable
 
 from repro.sim.events import Event
@@ -60,16 +59,14 @@ class SimulationError(RuntimeError):
     """Raised on invalid scheduling (e.g. scheduling into the past)."""
 
 
-def _never_fires() -> None:  # pragma: no cover - sentinel, never dispatched
-    raise AssertionError("the schedule_call sentinel event must never fire")
-
-
-#: Shared sentinel referenced by :meth:`Simulator.schedule_call` entries.
+#: Shared sentinel referenced by the non-cancellable entries
+#: (:meth:`Simulator.schedule_call`, ``schedule_calls``, ``schedule_reserved``).
 #: It is never cancelled, so the run loop's ``event.cancelled`` check
 #: stays branch-predictable and no per-call Event allocation is needed.
 #: Only its ``cancelled`` flag is ever read — dispatch takes the callback
-#: from the heap entry, never from the sentinel.
-_NO_EVENT = Event(0.0, -1, _never_fires, ())
+#: from the heap entry, never from the sentinel, so its callback is a
+#: placeholder.
+_NO_EVENT = Event(0.0, -1, lambda: None, ())
 
 
 class Simulator:
@@ -156,114 +153,36 @@ class Simulator:
         heappush(self._heap, (time, seq, fn, args, event))
         return event
 
-    def schedule_sorted_at(
-        self, items: Iterable[tuple[float, Callable[..., Any], tuple[Any, ...]]]
-    ) -> list[Event]:
-        """Batch-schedule pre-sorted ``(time, fn, args)`` triples.
+    def reserve_seqs(self, n: int) -> int:
+        """Claim ``n`` consecutive sequence numbers; returns the first.
 
-        The fast path for open-loop arrival scripts (trace replay,
-        pre-computed schedules): when the calendar is empty, a
-        time-sorted batch is appended directly — a sorted array satisfies
-        the heap invariant — so the whole script costs O(n) instead of
-        O(n log n) and causes no sift churn.  With events already
-        pending, each item falls back to a normal ``heappush``.
-
-        Args:
-            items: ``(time, fn, args)`` triples in non-decreasing time
-                order, all at or after the current clock.
-
-        Returns:
-            The scheduled events, in input order.
-
-        Raises:
-            SimulationError: If an item is NaN, before the current time,
-                or the batch is not sorted.  The batch is atomic: on error,
-                nothing is scheduled and no sequence numbers are consumed.
+        The numbers are consumed now, exactly as ``n`` back-to-back
+        :meth:`schedule_call` invocations would consume them, but nothing
+        enters the calendar until :meth:`schedule_reserved` pushes an
+        entry under one of them.  Trace replay reserves a whole chunk
+        this way and keeps only the next arrival pending: each entry
+        pops under the ``(time, seq)`` key that inserting the whole chunk
+        at once would give it, while the calendar stays small.
         """
         seq = self._seq
-        prev = self.now
-        entries: list[_HeapEntry] = []
-        events: list[Event] = []
-        for time, fn, args in items:
-            if not time >= prev:  # also rejects NaN
-                raise SimulationError(
-                    f"batch not sorted or in the past at t={time} "
-                    f"(previous t={prev}, now t={self.now})"
-                )
-            prev = time
-            event = Event(time, seq, fn, args)
-            entries.append((time, seq, fn, args, event))
-            events.append(event)
-            seq += 1
-        # Commit only after the whole batch validated.
-        self._seq = seq
-        heap = self._heap
-        if not heap:  # empty calendar: sorted extend keeps the invariant
-            heap.extend(entries)
-        else:
-            for entry in entries:
-                heappush(heap, entry)
-        return events
+        self._seq = seq + n
+        return seq
 
-    def schedule_sorted_calls(
-        self, items: Iterable[tuple[float, Callable[..., Any], tuple[Any, ...]]]
-    ) -> Event:
-        """Batch-schedule pre-sorted triples behind one shared event.
+    def schedule_reserved(
+        self, time: float, seq: int, fn: Callable[..., Any], *args: Any
+    ) -> None:
+        """Schedule ``fn(*args)`` at absolute ``time`` under a reserved ``seq``.
 
-        Streaming trace replay's fast path: a chunk of replayed
-        arrivals is inserted in one call, and the single returned
-        :class:`Event` controls the *whole batch* — cancelling it lazily
-        deletes every entry still in the calendar (entries already
-        dispatched are unaffected).  Entries consume consecutive
-        sequence numbers in input order, exactly as the equivalent
-        ``schedule_call`` loop would.
-
-        Args:
-            items: ``(time, fn, args)`` triples in non-decreasing time
-                order, all at or after the current clock.
-
-        Returns:
-            The shared event.  Its ``time``/``fn`` fields describe the
-            first entry; only its cancellation flag governs the batch.
-            An empty batch returns an inert event.
+        Non-cancellable like :meth:`schedule_call`.  ``seq`` must come
+        from :meth:`reserve_seqs` and be used once; the caller owns that
+        contract (a reused number would make two keys tie).
 
         Raises:
-            SimulationError: If an item is NaN, before the current time,
-                or the batch is not sorted.  The batch is atomic: on error
-                nothing is scheduled and no sequence numbers are used.
+            SimulationError: If ``time`` is before the current time or NaN.
         """
-        seq = self._seq
-        prev = self.now
-        event: Event | None = None
-        entries: list[_HeapEntry] = []
-        for time, fn, args in items:
-            if not time >= prev:  # also rejects NaN
-                raise SimulationError(
-                    f"batch not sorted or in the past at t={time} "
-                    f"(previous t={prev}, now t={self.now})"
-                )
-            prev = time
-            if event is None:
-                event = Event(time, seq, fn, args)
-            entries.append((time, seq, fn, args, event))
-            seq += 1
-        if event is None:  # empty batch: nothing to schedule or cancel
-            return Event(self.now, -1, _never_fires, ())
-        self._seq = seq
-        heap = self._heap
-        if not heap:  # empty calendar: sorted extend keeps the invariant
-            heap.extend(entries)
-        elif len(entries) * 4 > len(heap):
-            # Large batch vs. calendar: one O(n) heapify beats n
-            # O(log n) sifts.  Pop order depends only on the (time, seq)
-            # keys, not the heap's internal layout, so results are
-            # unchanged.
-            heap.extend(entries)
-            heapify(heap)
-        else:
-            for entry in entries:
-                heappush(heap, entry)
-        return event
+        if not time >= self.now:  # also rejects NaN
+            raise SimulationError(f"cannot schedule at t={time} (now is t={self.now})")
+        heappush(self._heap, (time, seq, fn, args, _NO_EVENT))
 
     def schedule_calls(
         self, items: Iterable[tuple[float, Callable[..., Any], tuple[Any, ...]]]

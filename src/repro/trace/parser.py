@@ -45,6 +45,7 @@ __all__ = [
 
 _VALID_TAGS = {tag.value: tag for tag in OpTag}
 _INF = float("inf")
+_new_tuple = tuple.__new__
 
 #: An adapter argument: a registered name or a live adapter instance.
 AdapterLike = Union[str, "TraceAdapter"]
@@ -134,20 +135,11 @@ def parse_native_line(lineno: int, line: str) -> TraceRecord:
         raise TraceParseError(
             lineno, line, "time must be finite and >= 0, lba >= 0 and size > 0"
         )
-    return TraceRecord(
-        time=time,
-        device=device,
-        action=action,
-        tag=tag,
-        is_write=(rw == "W"),
-        lba=lba,
-        nblocks=nblocks,
-        op_id=op_id,
+    # Positional ``tuple.__new__`` skips the NamedTuple constructor's
+    # keyword handling; one record is built per parsed line.
+    return _new_tuple(
+        TraceRecord, (time, device, action, tag, rw == "W", lba, nblocks, op_id)
     )
-
-
-# Back-compat alias (pre-adapter internal name).
-_parse_line = parse_native_line
 
 
 def _iter_stream(

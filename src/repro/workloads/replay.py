@@ -12,15 +12,21 @@ regenerate its own.
 Two execution modes share one class:
 
 - **Materialized** (a list in, the historical behavior): records are
-  filtered and sorted up front and the whole script is batch-scheduled
-  in :meth:`ReplayWorkload.bind`.
+  filtered and sorted up front and replayed as a single chunk.
 - **Streaming** (any other iterable, or ``streams=``): records are
   pulled through the pipeline in chunks of :data:`CHUNK_RECORDS`
-  arrivals, each chunk batch-scheduled via
-  :meth:`~repro.sim.engine.Simulator.schedule_sorted_calls` when the
-  previous chunk's last arrival fires.  Peak memory is then bounded by
-  the chunk size, not the trace length — a 10M-record trace replays in
-  the same footprint as a 10k-record one.
+  arrivals, the next one when the previous chunk's last arrival fires.
+  Peak memory is then bounded by the chunk size, not the trace length
+  — a 10M-record trace replays in the same footprint as a 10k-record
+  one.
+
+Either way one arrival is pending in the calendar: a chunk reserves
+its sequence numbers in one block
+(:meth:`~repro.sim.engine.Simulator.reserve_seqs`) and each arrival
+pushes the next under its reserved number
+(:meth:`~repro.sim.engine.Simulator.schedule_reserved`), so every
+arrival pops under the ``(time, seq)`` key a whole-chunk insert would
+give it.
 
 Both modes produce identical arrival sequences for the same input, so
 run statistics (and :func:`repro.scenario.fingerprint.stats_fingerprint`
@@ -29,6 +35,9 @@ digests) are mode-independent.
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.io.request import OpTag, Request
@@ -39,13 +48,12 @@ from repro.workloads.base import WorkloadStats
 __all__ = ["ReplayWorkload", "CHUNK_RECORDS"]
 
 #: Default arrivals pulled and scheduled per streaming chunk: big enough
-#: to amortize scheduling, small enough that a chunk is invisible in
+#: to amortize the pull, small enough that a chunk is invisible in
 #: peak RSS.
 CHUNK_RECORDS = 4096
 
-
-def _is_application(rec: TraceRecord) -> bool:
-    return rec.action == "Q" and rec.tag in (OpTag.READ, OpTag.WRITE)
+#: Tags of application arrivals; ``P``/``E`` traffic is cache-generated.
+_APP_TAGS = (OpTag.READ, OpTag.WRITE)
 
 
 class ReplayWorkload:
@@ -93,12 +101,16 @@ class ReplayWorkload:
         duration_us: Optional[float] = None,
         name: str = "replay",
     ) -> None:
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        if chunk_records < 1:
-            raise ValueError("chunk_records must be >= 1")
-        if duration_us is not None and duration_us < 0:
-            raise ValueError("duration_us must be non-negative")
+        if not 0 < time_scale < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"time_scale must be positive and finite, got {time_scale!r}"
+            )
+        if type(chunk_records) is not int or chunk_records < 1:
+            raise ValueError(f"chunk_records must be an int >= 1: {chunk_records!r}")
+        if duration_us is not None and not 0 <= duration_us < math.inf:
+            raise ValueError(
+                f"duration_us must be non-negative and finite, got {duration_us!r}"
+            )
         if (records is None) == (streams is None):
             raise ValueError("pass exactly one of records= or streams=")
         if streams is not None and streaming is False:
@@ -115,23 +127,26 @@ class ReplayWorkload:
         self._last_raw: Optional[float] = None  # max scaled time pulled so far
         self._exhausted = False
         self._source: Optional[Iterator[tuple[TraceRecord, int]]] = None
+        #: The chunk being replayed (``(scaled time, record, tenant)``
+        #: triples), its next arrival's index, and its first seq number.
+        self._chunk: list[tuple[float, TraceRecord, int]] = []
+        self._next = 0
+        self._seq0 = 0
 
         if streams is not None:
             self.streaming = True
-            self._source = interleave(
-                [self._filtered(stream) for stream in streams]
-            )
+            self._source = interleave(streams)
             return
         assert records is not None
         if streaming is None:
             streaming = not isinstance(records, Sequence)
         self.streaming = streaming
         if streaming:
-            self._source = ((rec, 0) for rec in self._filtered(records))
+            self._source = zip(records, repeat(0))
         else:
             app = []
             for rec in records:
-                if _is_application(rec):
+                if rec.action == "Q" and rec.tag in _APP_TAGS:
                     app.append(rec)
                 else:
                     self.stats.skipped += 1
@@ -140,14 +155,7 @@ class ReplayWorkload:
             self._known_duration = (
                 app[-1].time * time_scale if app else 0.0
             )
-
-    def _filtered(self, records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
-        """Drop (and count) non-application records, lazily."""
-        for rec in records:
-            if _is_application(rec):
-                yield rec
-            else:
-                self.stats.skipped += 1
+            self._exhausted = True  # the script is the only chunk
 
     @property
     def submitted(self) -> int:
@@ -175,56 +183,65 @@ class ReplayWorkload:
         )
 
     def bind(self, sim, submit: Callable[[Request], None], rng=None) -> None:
-        """Schedule the first chunk (streaming) or everything (rng unused).
+        """Schedule the first arrival (rng unused).
 
-        Materialized mode batch-schedules the whole sorted script via
-        :meth:`~repro.sim.engine.Simulator.schedule_sorted_at` — on an
-        idle simulator the batch is appended in O(n) without heap churn.
-        Streaming mode schedules one chunk through
-        :meth:`~repro.sim.engine.Simulator.schedule_sorted_calls` and
-        refills when the chunk's last arrival fires.
+        Materialized replay starts its sorted script as one chunk;
+        streaming replay pulls its first chunk now and the next one when
+        a chunk's last arrival fires.
         """
         self._sim = sim
         self._submit = submit
         self._floor = sim.now
-        if not self.streaming:
-            now = sim.now
+        if self.streaming:
+            self._schedule_chunk()
+        else:
             scale = self.time_scale
-            emit = self._emit_materialized
-            sim.schedule_sorted_at(
-                (max(rec.time * scale, now), emit, (rec,))
-                for rec in self.records
-            )
-            if not self.records:
-                self.stats.finished = True
-            return
-        self._schedule_chunk()
+            self._start([(rec.time * scale, rec, 0) for rec in self.records])
 
     def _schedule_chunk(self) -> None:
-        """Pull, order-check, and batch-schedule the next chunk.
+        """Pull, filter and sort the next chunk, then start it.
 
         The pull happens *before* any scheduling, so a parse error
         surfacing mid-chunk (malformed trace line) schedules nothing
-        from that chunk — the chunk is atomic.
+        from that chunk — the chunk is atomic.  Non-application records
+        are dropped (and counted in ``stats.skipped``) as they are
+        pulled.
         """
-        sim = self._sim
         source = self._source
-        assert sim is not None and source is not None
+        assert source is not None
+        want = self.chunk_records
         scale = self.time_scale
+        stats = self.stats
         chunk: list[tuple[float, TraceRecord, int]] = []
-        for _ in range(self.chunk_records):
-            try:
-                rec, tid = next(source)
-            except StopIteration:
-                self._exhausted = True
-                break
-            chunk.append((rec.time * scale, rec, tid))
+        for rec, tenant_id in source:
+            if rec.action == "Q" and rec.tag in _APP_TAGS:
+                chunk.append((rec.time * scale, rec, tenant_id))
+                if len(chunk) == want:
+                    break
+            else:
+                stats.skipped += 1
+        else:
+            self._exhausted = True
+        chunk.sort(key=itemgetter(0))  # stable: interleave ties keep order
+        self._start(chunk)
+
+    def _start(self, chunk: list[tuple[float, TraceRecord, int]]) -> None:
+        """Order-check a time-sorted chunk and schedule its first arrival.
+
+        The chunk's sequence numbers are reserved here, in one block, so
+        each arrival later pops under the same ``(time, seq)`` key as if
+        the whole chunk had entered the calendar now.
+
+        Raises:
+            ValueError: If the chunk starts before the previous chunk's
+                last arrival or holds a NaN time; nothing from the chunk
+                is scheduled.
+        """
         if not chunk:
             self._finish()
             return
-        chunk.sort(key=lambda item: item[0])  # stable: interleave ties keep order
+        scale = self.time_scale
         first = chunk[0][0]
-        last = chunk[-1][0]
         if self._last_raw is not None and first < self._last_raw:
             raise ValueError(
                 f"replay source is not time-sorted across a chunk boundary "
@@ -232,19 +249,20 @@ class ReplayWorkload:
                 f"streaming replay needs chunk-sorted input — materialize "
                 f"the trace (a list input) to replay unsorted records"
             )
-        self._last_raw = last
+        for time, rec, _ in chunk:
+            if math.isnan(time):
+                raise ValueError(f"replay record has a NaN time: {rec!r}")
+        self._last_raw = chunk[-1][0]
         floor = self._floor
-        tail = len(chunk) - 1
-        emit = self._emit
-        emit_last = self._emit_last
-        sim.schedule_sorted_calls(
-            (
-                max(t, floor),
-                emit_last if i == tail else emit,
-                (rec, tid),
-            )
-            for i, (t, rec, tid) in enumerate(chunk)
-        )
+        if first < floor:  # arrivals before bind time replay at bind time
+            chunk = [(max(t, floor), rec, tid) for t, rec, tid in chunk]
+        sim = self._sim
+        assert sim is not None
+        self._chunk = chunk
+        self._next = 1
+        self._seq0 = sim.reserve_seqs(len(chunk))
+        time, rec, tenant_id = chunk[0]
+        sim.schedule_reserved(time, self._seq0, self._emit, rec, tenant_id)
 
     def _finish(self) -> None:
         self.stats.finished = True
@@ -253,38 +271,43 @@ class ReplayWorkload:
                 self._last_raw if self._last_raw is not None else 0.0
             )
 
-    def _count(self, rec: TraceRecord) -> None:
-        self.stats.generated += 1
-        if rec.is_write:
-            self.stats.writes += 1
-        else:
-            self.stats.reads += 1
-
     def _emit(self, rec: TraceRecord, tenant_id: int) -> None:
+        """One arrival: submit it, then schedule the next or refill."""
         sim, submit = self._sim, self._submit
         assert sim is not None and submit is not None
-        request = Request(
-            sim.now, rec.lba, rec.nblocks, rec.is_write, tenant_id=tenant_id
+        stats = self.stats
+        stats.generated += 1
+        if rec.is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
+        submit(
+            Request(sim.now, rec.lba, rec.nblocks, rec.is_write, tenant_id=tenant_id)
         )
-        self._count(rec)
-        submit(request)
-
-    def _emit_last(self, rec: TraceRecord, tenant_id: int) -> None:
-        """Last arrival of a chunk: emit, then refill or finish."""
-        self._emit(rec, tenant_id)
-        if self._exhausted:
+        # Refill only after the submit: a refill reserves sequence
+        # numbers, and whatever the submit schedules takes the earlier ones.
+        i = self._next
+        chunk = self._chunk
+        if i < len(chunk):
+            self._next = i + 1
+            time, rec, tenant_id = chunk[i]
+            sim.schedule_reserved(time, self._seq0 + i, self._emit, rec, tenant_id)
+        elif self._exhausted:
             self._finish()
         else:
             self._schedule_chunk()
 
-    def _emit_materialized(self, rec: TraceRecord) -> None:
-        sim, submit = self._sim, self._submit
-        assert sim is not None and submit is not None
-        request = Request(sim.now, rec.lba, rec.nblocks, rec.is_write)
-        self._count(rec)
-        if self.stats.generated == len(self.records):
-            self.stats.finished = True
-        submit(request)
+    def _emit_last(self, *args: object) -> None:
+        """Retired arrival entry point: nothing calls it.
+
+        ``_emit`` submits every arrival of both modes and refills.  The
+        benchmark's tracer (``simbench/tracing.py``) still wraps
+        ``_emit_last`` and ``_emit_materialized`` by name; delete both
+        together with those entries.
+        """
+        raise NotImplementedError("ReplayWorkload._emit_last is retired; use _emit")
+
+    _emit_materialized = _emit_last
 
     def on_request_complete(self, request: Request) -> None:
         """No backpressure during replay (timestamps are authoritative)."""

@@ -86,6 +86,7 @@ silently pruned.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
@@ -429,6 +430,26 @@ def _multi_tenant_from_spec(
         raise SpecError(f"tenant workload spec: {exc}") from None
 
 
+def _trace_int(trace: Mapping[str, Any], key: str, default: int, minimum: int) -> int:
+    """``trace[key]`` as a real int (not a bool) of at least ``minimum``."""
+    value = trace.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SpecError(f"trace.{key} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
+def _trace_float(trace: Mapping[str, Any], key: str, default: float) -> float:
+    """``trace[key]`` as a finite number; range checks stay with the workload."""
+    value = trace.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise SpecError(f"trace.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _replay_from_spec(spec: Mapping[str, Any]) -> Any:
     """Build a :class:`ReplayWorkload` from a ``trace`` spec.
 
@@ -441,7 +462,7 @@ def _replay_from_spec(spec: Mapping[str, Any]) -> Any:
     from repro.trace.adapters import get_adapter
     from repro.trace.operators import compile_operator, lba_shift
     from repro.trace.parser import iter_trace
-    from repro.workloads.replay import ReplayWorkload
+    from repro.workloads.replay import CHUNK_RECORDS, ReplayWorkload
 
     _check_keys(spec, {"name", "trace"}, "trace workload spec")
     trace = _require(spec, "trace", "trace workload spec")
@@ -477,15 +498,11 @@ def _replay_from_spec(spec: Mapping[str, Any]) -> Any:
         transforms = [compile_operator(op) for op in op_specs]
     except ValueError as exc:
         raise SpecError(f"trace: {exc}") from None
-    tenants = int(trace.get("interleave", 1))
-    if tenants < 1:
-        raise SpecError("trace: interleave must be >= 1")
-    stride = int(trace.get("lba_stride_blocks", 0))
-    if stride < 0:
-        raise SpecError("trace: lba_stride_blocks must be non-negative")
+    tenants = _trace_int(trace, "interleave", 1, minimum=1)
+    stride = _trace_int(trace, "lba_stride_blocks", 0, minimum=0)
     streaming = trace.get("streaming")
-    if streaming is not None:
-        streaming = bool(streaming)
+    if streaming is not None and not isinstance(streaming, bool):
+        raise SpecError(f"trace.streaming must be a bool, got {streaming!r}")
     if tenants > 1 and streaming is False:
         raise SpecError("trace: interleaved replay is always streaming")
 
@@ -498,13 +515,12 @@ def _replay_from_spec(spec: Mapping[str, Any]) -> Any:
         return recs
 
     kwargs: dict[str, Any] = {
-        "time_scale": float(trace.get("time_scale", 1.0)),
+        "time_scale": _trace_float(trace, "time_scale", 1.0),
+        "chunk_records": _trace_int(trace, "chunk_records", CHUNK_RECORDS, minimum=1),
         "name": str(spec.get("name", "trace_replay")),
     }
-    if "chunk_records" in trace:
-        kwargs["chunk_records"] = int(trace["chunk_records"])
     if "duration_us" in trace:
-        kwargs["duration_us"] = float(trace["duration_us"])
+        kwargs["duration_us"] = _trace_float(trace, "duration_us", 0.0)
     try:
         if tenants == 1:
             return ReplayWorkload(stream(0), streaming=streaming, **kwargs)

@@ -132,6 +132,13 @@ class TestDirtyTracking:
         assert sorted(dirty) == [0, 2, 4, 6, 8]
         assert len(store.dirty_blocks(limit=2)) == 2
 
+    def test_dirty_blocks_zero_limit_returns_nothing(self):
+        store = CacheStore(64)
+        for lba in range(4):
+            store.insert(lba, 0.0, dirty=True)
+        assert store.dirty_blocks(limit=0) == []
+        assert len(store.dirty_blocks(limit=1)) == 1
+
     def test_ratios(self):
         store = CacheStore(10, associativity=10)
         for lba in range(5):

@@ -68,6 +68,21 @@ class TestFlusher:
         sim.run(until=sim.now + 300.0)
         assert flusher.flushes_started > 0
 
+    def test_zero_batch_starts_no_flush(self, sim, controller, store):
+        cfg = WritebackConfig(
+            interval_us=100.0,
+            low_watermark=0.01,
+            high_watermark=0.9,
+            batch=0,
+            panic_batch=0,
+        )
+        flusher = WritebackFlusher(sim, controller, cfg)
+        self._dirty_fill(sim, controller, 16)
+        flusher.start()
+        sim.run(until=sim.now + 1000.0)
+        assert flusher.flushes_started == 0
+        assert store.dirty_count == 16
+
     def test_panic_batch_above_high_watermark(self, sim, controller, store):
         cfg = WritebackConfig(
             interval_us=100.0,

@@ -1,11 +1,16 @@
 """Tests for streaming trace replay: chunked scheduling, equivalence, edges."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.config import quick_config
 from repro.experiments.system import ExperimentSystem
 from repro.io.request import OpTag
 from repro.scenario.fingerprint import stats_fingerprint
+from repro.scenario.spec import scenario_from_dict
 from repro.sim.engine import Simulator
 from repro.trace.parser import TraceParseError, iter_trace
 from repro.trace.records import TraceRecord
@@ -51,6 +56,21 @@ class TestModeSelection:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             ReplayWorkload(iter([]), duration_us=-1.0)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("time_scale", float("nan")),
+            ("time_scale", float("inf")),
+            ("duration_us", float("nan")),
+            ("duration_us", float("inf")),
+            ("chunk_records", 1.9),
+            ("chunk_records", True),
+        ],
+    )
+    def test_non_finite_or_non_int_argument_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ReplayWorkload(iter([rec(1.0)]), **{key: value})
 
 
 class TestStreamingExecution:
@@ -149,6 +169,29 @@ class TestChunkAtomicity:
         with pytest.raises(ValueError, match="chunk boundary"):
             sim.run()
 
+    def test_nan_time_in_first_chunk_fails_at_bind(self, sim):
+        wl = ReplayWorkload(iter([rec(10.0), rec(float("nan"))]))
+        with pytest.raises(ValueError, match="NaN"):
+            wl.bind(sim, lambda r: None, None)
+        assert sim.pending_events == 0
+
+    def test_nan_time_mid_stream_schedules_nothing_from_its_chunk(self, sim):
+        records = [rec(10.0, lba=0), rec(20.0, lba=1), rec(30.0, lba=2)]
+        records.append(rec(float("nan"), lba=3))
+        wl = ReplayWorkload(iter(records), chunk_records=2)
+        arrivals = []
+        wl.bind(sim, lambda r: arrivals.append(r.lba), None)
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run()
+        assert arrivals == [0, 1]
+        assert sim.pending_events == 0
+
+    def test_nan_time_in_materialized_script_fails_at_bind(self, sim):
+        wl = ReplayWorkload([rec(10.0), rec(float("nan"))])
+        with pytest.raises(ValueError, match="NaN"):
+            wl.bind(sim, lambda r: None, None)
+        assert sim.pending_events == 0
+
     def test_unsorted_within_chunk_tolerated(self, sim):
         """Within a chunk the pull sorts, so local jitter is fine."""
         records = [rec(20.0, op_id=0), rec(10.0, op_id=1)]
@@ -177,6 +220,80 @@ class TestDuration:
 
     def test_materialized_duration_still_computed(self):
         assert ReplayWorkload([rec(40.0), rec(10.0)]).duration_us == 40.0
+
+
+class TestCalendar:
+    """Replay keeps one pending arrival; event order is unchanged."""
+
+    def test_event_tied_with_an_arrival_fires_after_it(self, sim):
+        # Events scheduled after a chunk was pulled take later sequence
+        # numbers than the chunk's arrivals, even though each arrival
+        # enters the calendar only when the one before it fires.  The
+        # 30.0 event is scheduled before chunk 2 is pulled, so it fires
+        # before the 30.0 arrival.
+        records = [rec(10.0 * i, lba=i) for i in (1, 2, 3, 4)]
+        wl = ReplayWorkload(iter(records), chunk_records=2)
+        fired = []
+        wl.bind(sim, lambda r: fired.append(f"a{r.lba}"), None)
+        sim.schedule_at(20.0, fired.append, "tie20")
+        sim.schedule_at(30.0, fired.append, "tie30")
+        sim.run()
+        assert fired == ["a1", "a2", "tie20", "tie30", "a3", "a4"]
+
+    @pytest.mark.parametrize("chunk_records", [1, 7, CHUNK_RECORDS, 20_000])
+    def test_at_most_one_replay_entry_pending(self, sim, chunk_records):
+        wl = ReplayWorkload(
+            synthetic_trace(10_000, seed=4), chunk_records=chunk_records
+        )
+        wl.bind(sim, lambda r: depths.append(sim.pending_events), None)
+        depths = [sim.pending_events]
+        sim.run()
+        assert wl.stats.generated == 10_000
+        # one entry after bind; none while an arrival is being submitted
+        assert depths[0] == 1
+        assert max(depths[1:]) == 0
+
+
+def _digest(result):
+    text = json.dumps(stats_fingerprint(result), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestFullStackGolden:
+    """Replay through the whole cache and device stack must reproduce
+    the digests the batch-scheduling implementation produced."""
+
+    @staticmethod
+    def scenario(**trace_changes):
+        spec = json.loads(Path("examples/scenarios/trace_replay.json").read_text())
+        trace = spec["workload"]["trace"]
+        for key, value in trace_changes.items():
+            if value is None:
+                del trace[key]
+            else:
+                trace[key] = value
+        return scenario_from_dict(spec)
+
+    @pytest.mark.parametrize(
+        "changes, digest",
+        [
+            (
+                {},
+                "af756e62a550a8b220f3b199c8fc1b122486cfcac793898cd69451554ade3161",
+            ),
+            (
+                {"interleave": None, "lba_stride_blocks": None, "chunk_records": 7},
+                "b0f87862474026710be4a8a5d742692b531341927d7f285f116e8376d39a593a",
+            ),
+            (
+                {"interleave": None, "lba_stride_blocks": None, "streaming": False},
+                "b0f87862474026710be4a8a5d742692b531341927d7f285f116e8376d39a593a",
+            ),
+        ],
+        ids=["interleaved", "streaming_chunk7", "materialized"],
+    )
+    def test_digest_matches_golden(self, changes, digest):
+        assert _digest(self.scenario(**changes).run()) == digest
 
 
 class TestMultiTenantStreams:

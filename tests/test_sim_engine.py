@@ -87,8 +87,7 @@ class TestNaNRejected:
             ("schedule_call", (NAN, _nop)),
             ("schedule_at", (NAN, _nop)),
             ("schedule_calls", ([(1.0, _nop, ()), (NAN, _nop, ())],)),
-            ("schedule_sorted_at", ([(NAN, _nop, ())],)),
-            ("schedule_sorted_calls", ([(1.0, _nop, ()), (NAN, _nop, ())],)),
+            ("schedule_reserved", (NAN, 0, _nop)),
         ],
     )
     def test_nan_time_rejected(self, method, args):
@@ -152,154 +151,90 @@ class TestCancellation:
         assert keep.active
 
 
-class TestBatchScheduling:
-    def test_sorted_batch_fires_in_order(self):
+def _chain(sim, times, fired, label=""):
+    """Replay-style chain: reserve ``len(times)`` numbers now, keep one
+    entry pending, and push each next entry from the one that fires."""
+    seq0 = sim.reserve_seqs(len(times))
+
+    def fire(i):
+        fired.append(f"{label}{i}")
+        if i + 1 < len(times):
+            sim.schedule_reserved(times[i + 1], seq0 + i + 1, fire, i + 1)
+
+    sim.schedule_reserved(times[0], seq0, fire, 0)
+
+
+class TestReservedScheduling:
+    """reserve_seqs + schedule_reserved: one pending entry per chain."""
+
+    def test_reserve_seqs_consumes_numbers_without_scheduling(self):
+        sim = Simulator()
+        assert sim.reserve_seqs(3) == 0
+        assert sim.reserve_seqs(0) == 3  # an empty block takes nothing
+        assert sim.pending_events == 0
+        assert sim.schedule(1.0, _nop).seq == 3
+
+    def test_reserved_chain_matches_schedule_call_loop(self):
+        # Duplicate timestamps, and a single scheduled after the
+        # reservation at a chain entry's time: the chain's entries keep
+        # their reserved (earlier) numbers, exactly as inserting the
+        # whole block at reservation time would.
+        chained, looped = Simulator(), Simulator()
+        got_c, got_l = [], []
+        times = [1.0, 2.0, 2.0]
+        _chain(chained, times, got_c)
+        chained.schedule_call(2.0, got_c.append, "d")
+        for i, t in enumerate(times):
+            looped.schedule_call(t, got_l.append, f"{i}")
+        looped.schedule_call(2.0, got_l.append, "d")
+        chained.run()
+        looped.run()
+        assert got_c == got_l == ["0", "1", "2", "d"]
+        assert chained.events_processed == looped.events_processed == 4
+
+    def test_reserved_chain_keeps_one_entry_pending(self):
         sim = Simulator()
         fired = []
-        events = sim.schedule_sorted_at(
-            [(1.0, fired.append, ("a",)), (2.0, fired.append, ("b",)), (2.0, fired.append, ("c",))]
-        )
-        assert len(events) == 3
+        _chain(sim, [float(i) for i in range(50)], fired)
+        depths = []
+        sim.schedule_call(2.5, lambda: depths.append(sim.pending_events))
+        assert sim.pending_events == 2
         sim.run()
-        assert fired == ["a", "b", "c"]
-        assert sim.now == 2.0
+        assert depths == [1]  # only the chain's next arrival
+        assert fired == [f"{i}" for i in range(50)]
 
-    def test_batch_onto_empty_heap_appends_without_sifting(self):
-        sim = Simulator()
-        sim.schedule_sorted_at((float(i), (lambda: None), ()) for i in range(100))
-        # a sorted batch on an empty calendar is stored in input order
-        assert [entry[0] for entry in sim._heap] == [float(i) for i in range(100)]
-
-    def test_batch_interleaves_with_existing_events(self):
+    def test_reserved_entry_interleaves_with_existing_events(self):
         sim = Simulator()
         fired = []
         sim.schedule(1.5, fired.append, "mid")
-        sim.schedule_sorted_at([(1.0, fired.append, ("lo",)), (2.0, fired.append, ("hi",))])
+        _chain(sim, [1.0, 2.0], fired, label="c")
         sim.run()
-        assert fired == ["lo", "mid", "hi"]
+        assert fired == ["c0", "mid", "c1"]
 
-    def test_unsorted_batch_rejected(self):
+    def test_reserved_into_past_rejected(self):
         sim = Simulator()
+        sim.schedule(10.0, _nop)
+        sim.run()
+        seq = sim.reserve_seqs(1)
         with pytest.raises(SimulationError):
-            sim.schedule_sorted_at([(2.0, lambda: None, ()), (1.0, lambda: None, ())])
-
-    def test_failed_batch_is_atomic(self):
-        sim = Simulator()
-        fired = []
-        with pytest.raises(SimulationError):
-            sim.schedule_sorted_at(
-                [(1.0, fired.append, ("a",)), (0.5, fired.append, ("b",))]
-            )
-        assert sim.pending_events == 0  # nothing half-scheduled
-        first = sim.schedule(1.0, fired.append, "ok")
-        assert first.seq == 0  # no sequence numbers were consumed either
-        sim.run()
-        assert fired == ["ok"]
-
-    def test_batch_into_past_rejected(self):
-        sim = Simulator()
-        sim.schedule(10.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_sorted_at([(5.0, lambda: None, ())])
-
-    def test_batch_events_are_cancellable(self):
-        sim = Simulator()
-        fired = []
-        events = sim.schedule_sorted_at(
-            [(1.0, fired.append, ("a",)), (2.0, fired.append, ("b",))]
-        )
-        sim.cancel(events[0])
-        sim.run()
-        assert fired == ["b"]
-
-
-class TestBatchCallScheduling:
-    """The chunked-arrival fast paths: schedule_sorted_calls / schedule_calls."""
-
-    def test_sorted_calls_match_schedule_call_loop_order(self):
-        # Duplicate timestamps spanning the batch boundary: global seq
-        # order (batch entries in input order, then later singles) must
-        # be identical to the equivalent schedule_call loop.
-        batched, looped = Simulator(), Simulator()
-        got_b, got_l = [], []
-        triples = [(1.0, got_b.append, ("a",)), (2.0, got_b.append, ("b",)),
-                   (2.0, got_b.append, ("c",))]
-        batched.schedule_sorted_calls(triples)
-        batched.schedule_call(2.0, got_b.append, "d")
-        for t, _fn, args in triples:
-            looped.schedule_call(t, got_l.append, *args)
-        looped.schedule_call(2.0, got_l.append, "d")
-        batched.run()
-        looped.run()
-        assert got_b == got_l == ["a", "b", "c", "d"]
-        assert batched.events_processed == looped.events_processed == 4
-
-    def test_sorted_calls_heapify_path_interleaves_with_singles(self):
-        # A batch much larger than the calendar takes the heapify path;
-        # pop order must still honour (time, seq) against prior singles.
-        sim = Simulator()
-        fired = []
-        sim.schedule_call(2.5, fired.append, "single")
-        sim.schedule_sorted_calls(
-            (float(i), fired.append, (i,)) for i in range(50)
-        )
-        sim.run()
-        assert fired.index("single") == 3  # after t=0,1,2, before t=3
-        assert [x for x in fired if x != "single"] == list(range(50))
-
-    def test_sorted_calls_shared_event_cancels_remaining_entries(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule_sorted_calls(
-            [(1.0, fired.append, ("a",)), (2.0, fired.append, ("b",)),
-             (3.0, fired.append, ("c",))]
-        )
-        sim.schedule_at(1.5, sim.cancel, event)
-        sim.run()
-        # "a" already dispatched before the cancel; the rest of the
-        # batch dies with the shared event.
-        assert fired == ["a"]
-        assert sim.events_processed == 2  # "a" + the cancelling event
-
-    def test_sorted_calls_unsorted_batch_is_atomic(self):
-        sim = Simulator()
-        fired = []
-        with pytest.raises(SimulationError):
-            sim.schedule_sorted_calls(
-                [(2.0, fired.append, ("a",)), (1.0, fired.append, ("b",))]
-            )
+            sim.schedule_reserved(5.0, seq, _nop)
         assert sim.pending_events == 0
-        assert sim.schedule(1.0, fired.append, "ok").seq == 0  # no seq burned
-        sim.run()
-        assert fired == ["ok"]
 
-    def test_sorted_calls_past_entry_rejected(self):
-        sim = Simulator()
-        sim.schedule(10.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_sorted_calls([(5.0, lambda: None, ())])
-
-    def test_sorted_calls_empty_batch_returns_inert_event(self):
-        sim = Simulator()
-        event = sim.schedule_sorted_calls([])
-        assert sim.pending_events == 0
-        sim.cancel(event)  # harmless: nothing shares it
-        sim.run()
-        assert sim.events_processed == 0
-
-    def test_sorted_calls_drain_honours_stop(self):
+    def test_reserved_chain_drain_honours_stop(self):
         sim = Simulator()
         fired = []
-        sim.schedule_sorted_calls(
-            [(1.0, fired.append, ("a",)), (2.0, sim.stop, ()),
-             (3.0, fired.append, ("c",))]
-        )
+        seq0 = sim.reserve_seqs(3)
+        sim.schedule_reserved(1.0, seq0, fired.append, "a")
+        sim.schedule_reserved(1.0, seq0 + 1, sim.stop)
+        sim.schedule_reserved(1.0, seq0 + 2, fired.append, "c")
         sim.run()
         assert fired == ["a"]
         sim.run()  # resumes where stop() left off
         assert fired == ["a", "c"]
+
+
+class TestBatchCallScheduling:
+    """The dispatch-round fast path: schedule_calls."""
 
     def test_schedule_calls_matches_schedule_call_loop(self):
         batched, looped = Simulator(), Simulator()

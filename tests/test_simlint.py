@@ -43,6 +43,7 @@ RULE_FIXTURES = [
     ("sl008", "repro.campaign.fixture", "SL008"),
     ("sl009", "benchmarks.suite", "SL009"),
     ("sl010", "repro.sim.engine", "SL010"),
+    ("sl011", "repro.devices.fixture", "SL011"),
 ]
 
 
@@ -111,6 +112,13 @@ def test_sl009_sanctioned_only_in_the_harness_module():
         module_name_for(REPO / "benchmarks" / "profile.py", REPO)
         == "benchmarks.profile"
     )
+
+
+def test_sl011_allows_calendar_internals_only_inside_repro_sim():
+    bad = (FIXTURES / "sl011_bad.py").read_text()
+    assert lint_source(bad, module="repro.sim.fixture") == []
+    codes = [v.code for v in lint_source(bad, module="benchmarks.fixture")]
+    assert codes == ["SL011"] * 4  # import, _seq read, _seq write, _heap
 
 
 def test_benchmarks_tree_lints_clean():

@@ -384,6 +384,26 @@ class TestTraceSpecForm:
         with pytest.raises(SpecError, match="interleave"):
             workload_from_spec(self.trace_spec(tmp_path, interleave=0), 1000.0)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("interleave", "abc"),
+            ("chunk_records", 1.9),
+            ("chunk_records", True),
+            ("lba_stride_blocks", 2.5),
+            ("streaming", "no"),
+            ("time_scale", float("nan")),
+            ("time_scale", float("inf")),
+            ("duration_us", float("nan")),
+            ("duration_us", float("inf")),
+        ],
+    )
+    def test_wrong_typed_or_non_finite_trace_field_rejected(
+        self, tmp_path, key, value
+    ):
+        with pytest.raises(SpecError, match=f"trace\\.{key}"):
+            workload_from_spec(self.trace_spec(tmp_path, **{key: value}), 1000.0)
+
     def test_duration_and_chunk_forwarded(self, tmp_path):
         spec = self.trace_spec(tmp_path, duration_us=5000.0, chunk_records=7)
         wl = workload_from_spec(spec, 1000.0)
