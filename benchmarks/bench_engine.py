@@ -22,9 +22,9 @@ def test_event_loop_throughput(benchmark):
         def tick():
             count[0] += 1
             if count[0] < 10_000:
-                sim.schedule(1.0, tick)
+                sim.schedule_call(1.0, tick)
 
-        sim.schedule(1.0, tick)
+        sim.schedule_call(1.0, tick)
         sim.run()
         return count[0]
 

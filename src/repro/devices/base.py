@@ -11,12 +11,10 @@ as the device's service time (``svctm``) — the ``ssdLatency`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappush
 from typing import Callable, Optional, Protocol
 
 from repro.io.device_queue import DeviceQueue
 from repro.io.request import DeviceOp
-from repro.sim.engine import _NO_EVENT  # simlint: ignore[SL011] single-op fast path
 
 __all__ = ["ServiceModel", "StorageDevice", "DeviceStats"]
 
@@ -47,20 +45,6 @@ class DeviceStats:
     #: since ``OpTag`` is a ``str`` subclass the keys hash and compare
     #: equal to their letter (``stats.completions_by_tag.get("P")`` works).
     completions_by_tag: dict = field(default_factory=dict)
-
-    def record(self, op: DeviceOp, service: float) -> None:
-        """Account one completed operation."""
-        nblocks = op.nblocks
-        if op.is_write:
-            self.writes += 1
-            self.blocks_written += nblocks
-        else:
-            self.reads += 1
-            self.blocks_read += nblocks
-        self.total_service_time += service
-        by_tag = self.completions_by_tag
-        tag = op.tag
-        by_tag[tag] = by_tag.get(tag, 0) + 1
 
     @property
     def total_ops(self) -> int:
@@ -174,13 +158,11 @@ class StorageDevice:
         # after that ``now == last_change``).
         observers = self._d_observers
         service_time = self.model.service_time
+        schedule_call = self.sim.schedule_call
         complete = self._complete
         stats = self.stats
         pending = queue.pending
         qstats = queue.stats
-        first_op = None
-        first_service = 0.0
-        batch = None
         while len(inflight) < depth:
             if not pending:
                 break
@@ -199,34 +181,7 @@ class StorageDevice:
             if observers:
                 for fn in observers:
                     fn(op)
-            if first_op is None:
-                first_op, first_service = op, service
-            else:
-                if batch is None:
-                    batch = [(first_service, complete, (first_op, first_service))]
-                batch.append((service, complete, (op, service)))
-        # One dispatch round enters the calendar as a single block: the
-        # seq numbers match the per-op schedule_call sequence exactly
-        # (nothing else schedules between ops of one round).
-        if batch is not None:
-            self.sim.schedule_calls(batch)
-        elif first_op is not None:
-            # Completions are never cancelled.  Inlined
-            # sim.schedule_call(first_service, complete, op, service):
-            # the single-op round is the dominant dispatch outcome, and
-            # service >= 0 was already checked above.  The entry layout
-            # must match Simulator.schedule_call exactly.
-            sim = self.sim
-            seq = sim._seq  # simlint: ignore[SL011] inlined schedule_call, see above
-            sim._seq = seq + 1  # simlint: ignore[SL011] inlined schedule_call
-            entry = (
-                now + first_service,
-                seq,
-                complete,
-                (first_op, first_service),
-                _NO_EVENT,
-            )
-            heappush(sim._heap, entry)  # simlint: ignore[SL011] inlined schedule_call
+            schedule_call(service, complete, op, service)
 
     def _complete(self, op: DeviceOp, service: float) -> None:
         now = self.sim.now
@@ -239,8 +194,6 @@ class StorageDevice:
         queue.inflight.discard(op.op_id)
         op.complete_time = now
         queue.stats.completed += 1
-        # Inlined stats.record + _update_latency (both run exactly once
-        # per completion; the methods remain for other callers).
         stats = self.stats
         nblocks = op.nblocks
         a = self._ewma_alpha
@@ -287,13 +240,6 @@ class StorageDevice:
     # ------------------------------------------------------------------
     # Latency estimates (Eq. 1 inputs)
     # ------------------------------------------------------------------
-    def _update_latency(self, op: DeviceOp, service: float) -> None:
-        a = self._ewma_alpha
-        if op.is_write:
-            self._lat_write = (1 - a) * self._lat_write + a * service
-        else:
-            self._lat_read = (1 - a) * self._lat_read + a * service
-
     @property
     def read_latency(self) -> float:
         """EWMA-estimated read service time (µs)."""

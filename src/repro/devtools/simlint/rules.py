@@ -172,7 +172,7 @@ class FloatTimeEqualityRule(Rule):
         "addition; two logically simultaneous events can differ in the\n"
         "last ulp, so exact equality on them is a latent determinism bug.\n"
         "Compare with <, <=, or an explicit tolerance — and where exact\n"
-        "tie-breaking is genuinely intended (Event.__lt__ defers equal\n"
+        "tie-breaking is genuinely intended (a key that defers equal\n"
         "times to the scheduling sequence number), say so with a\n"
         "justified pragma."
     )
@@ -373,13 +373,13 @@ class HotPathRule(Rule):
     title = "hot-path functions stay allocation-lean"
     explanation = (
         "The per-event dispatch chain (Simulator.run/step/schedule_call,\n"
-        "CacheStore.lookup, DeviceQueue.push/pop_next/complete,\n"
+        "CacheStore.lookup, StorageDevice.submit/_dispatch/_complete,\n"
+        "DeviceQueue.push/pop_next/complete,\n"
         "CacheController._do_read/_do_write/_sync_done, Workload._arrive)\n"
-        "runs millions of times per scenario; PR 3's profiling showed\n"
-        "closure allocation and Event-object churn dominate it.  Inside\n"
-        "these functions: no lambdas, no nested defs, and no bare\n"
-        "self-discarding .schedule(...) calls — schedule_call() is the\n"
-        "no-Event fast path when the handle is never used."
+        "runs millions of times per scenario, and profiling showed\n"
+        "per-call closure allocation dominating it.  Inside these\n"
+        "functions: no lambdas and no nested defs; schedule bound\n"
+        "methods with positional arguments instead."
     )
 
     _HOT: frozenset[tuple[str, str]] = frozenset(
@@ -388,6 +388,9 @@ class HotPathRule(Rule):
             ("repro.sim.engine", "Simulator.step"),
             ("repro.sim.engine", "Simulator.schedule_call"),
             ("repro.cache.store", "CacheStore.lookup"),
+            ("repro.devices.base", "StorageDevice.submit"),
+            ("repro.devices.base", "StorageDevice._dispatch"),
+            ("repro.devices.base", "StorageDevice._complete"),
             ("repro.io.device_queue", "DeviceQueue.push"),
             ("repro.io.device_queue", "DeviceQueue.pop_next"),
             ("repro.io.device_queue", "DeviceQueue.complete"),
@@ -427,18 +430,6 @@ class HotPathRule(Rule):
                         ctx,
                         node,
                         "nested function defined in a hot-path function",
-                    )
-                elif (
-                    isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr == "schedule"
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        ".schedule(...) with the Event handle discarded in a "
-                        "hot-path function; use schedule_call()",
                     )
 
 
@@ -646,29 +637,23 @@ class CalendarInternalsRule(Rule):
     code = "SL011"
     title = "the event calendar's internals stay inside repro.sim"
     explanation = (
-        "Simulator._heap, Simulator._seq and repro.sim.engine._NO_EVENT\n"
-        "are the calendar's internals: the heap entry layout\n"
-        "(time, seq, fn, args, event), the sequence counter that breaks\n"
-        "time ties, and the shared never-cancelled sentinel.  Event order\n"
-        "-- and with it every golden fingerprint -- depends on all three\n"
-        "staying consistent, so only repro.sim may touch them.  Schedule\n"
-        "through the Simulator API instead (schedule_call, schedule_calls,\n"
+        "Simulator._heap and Simulator._seq are the calendar's\n"
+        "internals: the heap entry layout (time, seq, fn, args) and the\n"
+        "sequence counter that breaks time ties.  Event order -- and with\n"
+        "it every golden fingerprint -- depends on both staying\n"
+        "consistent, so only repro.sim may touch them.  Schedule through\n"
+        "the Simulator API instead (schedule_call, schedule_at,\n"
         "reserve_seqs + schedule_reserved).  An inlined fast path that\n"
         "measurably pays off may keep a justified pragma on each line."
     )
 
-    _ATTRS = frozenset({"_heap", "_seq", "_NO_EVENT"})
+    _ATTRS = frozenset({"_heap", "_seq"})
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.module_in(("repro.sim",)):
             return
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "repro.sim.engine":
-                if any(alias.name == "_NO_EVENT" for alias in node.names):
-                    yield self.violation(
-                        ctx, node, "_NO_EVENT imported outside repro.sim"
-                    )
-            elif (
+            if (
                 isinstance(node, ast.Attribute)
                 and node.attr in self._ATTRS
                 # an object's own private attributes are its own business

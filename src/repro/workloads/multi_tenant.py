@@ -361,7 +361,7 @@ class MultiTenantWorkload:
                 np.random.SeedSequence(entropy=base_seed, spawn_key=(tid,))
             )
             wrapped = self._wrap_submit(submit, tid)
-            sim.schedule(start_us, child.bind, sim, wrapped, child_rng)
+            sim.schedule_call(start_us, child.bind, sim, wrapped, child_rng)
 
     def _wrap_submit(
         self, submit: Callable[[Request], None], tenant_id: int

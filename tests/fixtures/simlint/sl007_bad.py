@@ -1,4 +1,4 @@
-"""SL007 bad: allocations and discarded handles inside a hot-path body.
+"""SL007 bad: allocations inside a hot-path body.
 
 Linted as module ``repro.sim.engine`` so ``Simulator.step`` matches the
 hot-path allowlist.
@@ -11,4 +11,4 @@ class Simulator:
             return None
 
         callback = lambda: tick()  # deliberately a lambda: the SL007 target
-        self.schedule(0.0, callback)
+        self.schedule_call(0.0, callback)

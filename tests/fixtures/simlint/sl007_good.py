@@ -1,7 +1,7 @@
 """SL007 good: hot-path body stays allocation-lean.
 
 Linted as module ``repro.sim.engine``; helpers live at module level and
-scheduling goes through the no-Event fast path.
+are scheduled as plain callables with positional arguments.
 """
 
 

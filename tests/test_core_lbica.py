@@ -226,7 +226,7 @@ class TestLbicaController:
                 controller.submit(Request(sim.now, lba, 1, False))
 
         feed()
-        sim.schedule(950.0, feed)
+        sim.schedule_call(950.0, feed)
         sim.run(until=1000.0)
         assert controller.policy is WritePolicy.WO
         assert lbica.decisions[0].burst
@@ -251,7 +251,7 @@ class TestLbicaController:
                 controller.submit(Request(sim.now, lba, 1, False))
 
         feed()
-        sim.schedule(900.0, feed)
+        sim.schedule_call(900.0, feed)
         sim.run(until=1500.0)
         # only 2 ticks so far → below confirm_ticks → still WB
         assert controller.policy is WritePolicy.WB
@@ -287,8 +287,8 @@ class TestLbicaController:
         lbica = self._build(sim, controller, ssd, hdd, use_window_mix=False)
         lbica.start()
         for i in range(8):
-            sim.schedule(i * 1000.0 + 10.0, controller.submit,
-                         Request(0.0, i, 1, True))
+            sim.schedule_call(i * 1000.0 + 10.0, controller.submit,
+                              Request(0.0, i, 1, True))
         sim.run(until=8000.0)
         leftovers = lbica.tracer.take_window_counts(ssd.name)
         # only ops queued since the last tick (at t=8000) may remain

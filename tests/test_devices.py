@@ -157,6 +157,29 @@ class TestStorageDevice:
         sim.run()
         assert sim.now == pytest.approx(cfg.read_us)  # all in parallel
 
+    def test_one_dispatch_round_completes_in_dispatch_order(self):
+        # The pause holds every op pending, so its end dispatches four in
+        # one round; equal service times tie, and the tie breaks by the
+        # order the round scheduled the completions in.
+        sim = Simulator()
+        cfg = SsdConfig(jitter_sigma=0.0)
+        dev = StorageDevice(sim, "ssd", SsdModel(cfg), depth=4)
+        dev.pause_dispatch(500.0)
+        done = []
+        for i in range(6):
+            dev.submit(
+                DeviceOp(
+                    i * 100, 1, is_write=False, tag=OpTag.READ,
+                    on_complete=lambda o: done.append((o.lba, sim.now)),
+                )
+            )
+        sim.run()
+        first = 500.0 + cfg.read_us
+        assert done == [
+            (0, first), (100, first), (200, first), (300, first),
+            (400, first + cfg.read_us), (500, first + cfg.read_us),
+        ]
+
     def test_queue_time_is_eq1(self):
         sim = Simulator()
         dev = StorageDevice(sim, "ssd", SsdModel(SsdConfig(jitter_sigma=0.0)))

@@ -103,7 +103,13 @@ def _reference_recycle_victim(store, owned, limit):
 
 
 def _reference_dirty_blocks(store, limit):
-    """Dirty LBAs in set order, stopping once ``limit`` are collected."""
+    """Dirty LBAs in set order, stopping once ``limit`` are collected.
+
+    A limit of zero or less lists nothing, as ``CacheStore.dirty_blocks``
+    documents.
+    """
+    if limit is not None and limit <= 0:
+        return []
     out = []
     for block in store:
         if block.dirty:
@@ -311,7 +317,7 @@ def test_simulator_order_is_deterministic(delays):
         sim = Simulator()
         order = []
         for i, d in enumerate(delays):
-            sim.schedule(d, order.append, i)
+            sim.schedule_call(d, order.append, i)
         sim.run()
         return order
 

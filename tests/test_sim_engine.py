@@ -9,9 +9,9 @@ class TestScheduling:
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, fired.append, "late")
-        sim.schedule(2.0, fired.append, "early")
-        sim.schedule(3.5, fired.append, "middle")
+        sim.schedule_call(5.0, fired.append, "late")
+        sim.schedule_call(2.0, fired.append, "early")
+        sim.schedule_call(3.5, fired.append, "middle")
         sim.run()
         assert fired == ["early", "middle", "late"]
 
@@ -19,13 +19,13 @@ class TestScheduling:
         sim = Simulator()
         fired = []
         for i in range(10):
-            sim.schedule(1.0, fired.append, i)
+            sim.schedule_call(1.0, fired.append, i)
         sim.run()
         assert fired == list(range(10))
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
-        sim.schedule(7.25, lambda: None)
+        sim.schedule_call(7.25, lambda: None)
         sim.run()
         assert sim.now == 7.25
 
@@ -39,11 +39,11 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule(-1.0, lambda: None)
+            sim.schedule_call(-1.0, lambda: None)
 
     def test_scheduling_into_past_rejected(self):
         sim = Simulator()
-        sim.schedule(10.0, lambda: None)
+        sim.schedule_call(10.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
@@ -51,7 +51,7 @@ class TestScheduling:
     def test_zero_delay_allowed(self):
         sim = Simulator()
         fired = []
-        sim.schedule(0.0, fired.append, 1)
+        sim.schedule_call(0.0, fired.append, 1)
         sim.run()
         assert fired == [1]
 
@@ -62,9 +62,9 @@ class TestScheduling:
         def chain(n):
             fired.append(n)
             if n < 3:
-                sim.schedule(1.0, chain, n + 1)
+                sim.schedule_call(1.0, chain, n + 1)
 
-        sim.schedule(1.0, chain, 0)
+        sim.schedule_call(1.0, chain, 0)
         sim.run()
         assert fired == [0, 1, 2, 3]
         assert sim.now == 4.0
@@ -83,27 +83,34 @@ class TestNaNRejected:
     @pytest.mark.parametrize(
         "method, args",
         [
-            ("schedule", (NAN, _nop)),
             ("schedule_call", (NAN, _nop)),
             ("schedule_at", (NAN, _nop)),
-            ("schedule_calls", ([(1.0, _nop, ()), (NAN, _nop, ())],)),
             ("schedule_reserved", (NAN, 0, _nop)),
         ],
+        # fixed ids keep each row's name stable when rows are added or removed
+        ids=["schedule_call-args1", "schedule_at-args2", "schedule_reserved-args4"],
     )
     def test_nan_time_rejected(self, method, args):
         sim = Simulator()
         with pytest.raises(SimulationError):
             getattr(sim, method)(*args)
         assert sim.pending_events == 0
-        assert sim.schedule(1.0, _nop).seq == 0
+        assert sim.reserve_seqs(1) == 0  # no sequence number was consumed
+
+    def test_nan_until_rejected(self):
+        sim = Simulator()
+        sim.schedule_call(1.0, _nop)
+        with pytest.raises(SimulationError):
+            sim.run(until=NAN)
+        assert sim.events_processed == 0
 
 
 class TestRunUntil:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(10.0, fired.append, "b")
+        sim.schedule_call(1.0, fired.append, "a")
+        sim.schedule_call(10.0, fired.append, "b")
         sim.run(until=5.0)
         assert fired == ["a"]
         assert sim.now == 5.0
@@ -113,7 +120,7 @@ class TestRunUntil:
     def test_event_exactly_at_until_fires(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, fired.append, "edge")
+        sim.schedule_call(5.0, fired.append, "edge")
         sim.run(until=5.0)
         assert fired == ["edge"]
 
@@ -121,34 +128,6 @@ class TestRunUntil:
         sim = Simulator()
         sim.run(until=42.0)
         assert sim.now == 42.0
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        ev = sim.schedule(1.0, fired.append, "x")
-        sim.cancel(ev)
-        sim.run()
-        assert fired == []
-
-    def test_cancel_is_lazy_but_counted_out(self):
-        sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
-        sim.cancel(ev)
-        assert sim.pending_events == 1  # still in heap
-        sim.run()
-        assert sim.events_processed == 0
-
-    def test_cancel_one_of_many(self):
-        sim = Simulator()
-        fired = []
-        keep = sim.schedule(1.0, fired.append, "keep")
-        drop = sim.schedule(1.0, fired.append, "drop")
-        sim.cancel(drop)
-        sim.run()
-        assert fired == ["keep"]
-        assert keep.active
 
 
 def _chain(sim, times, fired, label=""):
@@ -172,7 +151,7 @@ class TestReservedScheduling:
         assert sim.reserve_seqs(3) == 0
         assert sim.reserve_seqs(0) == 3  # an empty block takes nothing
         assert sim.pending_events == 0
-        assert sim.schedule(1.0, _nop).seq == 3
+        assert sim.reserve_seqs(1) == 3
 
     def test_reserved_chain_matches_schedule_call_loop(self):
         # Duplicate timestamps, and a single scheduled after the
@@ -206,56 +185,19 @@ class TestReservedScheduling:
     def test_reserved_entry_interleaves_with_existing_events(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.5, fired.append, "mid")
+        sim.schedule_call(1.5, fired.append, "mid")
         _chain(sim, [1.0, 2.0], fired, label="c")
         sim.run()
         assert fired == ["c0", "mid", "c1"]
 
     def test_reserved_into_past_rejected(self):
         sim = Simulator()
-        sim.schedule(10.0, _nop)
+        sim.schedule_call(10.0, _nop)
         sim.run()
         seq = sim.reserve_seqs(1)
         with pytest.raises(SimulationError):
             sim.schedule_reserved(5.0, seq, _nop)
         assert sim.pending_events == 0
-
-    def test_reserved_chain_drain_honours_stop(self):
-        sim = Simulator()
-        fired = []
-        seq0 = sim.reserve_seqs(3)
-        sim.schedule_reserved(1.0, seq0, fired.append, "a")
-        sim.schedule_reserved(1.0, seq0 + 1, sim.stop)
-        sim.schedule_reserved(1.0, seq0 + 2, fired.append, "c")
-        sim.run()
-        assert fired == ["a"]
-        sim.run()  # resumes where stop() left off
-        assert fired == ["a", "c"]
-
-
-class TestBatchCallScheduling:
-    """The dispatch-round fast path: schedule_calls."""
-
-    def test_schedule_calls_matches_schedule_call_loop(self):
-        batched, looped = Simulator(), Simulator()
-        got_b, got_l = [], []
-        delays = [(3.0, got_b.append, ("x",)), (1.0, got_b.append, ("y",)),
-                  (1.0, got_b.append, ("z",))]
-        batched.schedule_calls(delays)
-        for d, _fn, args in delays:
-            looped.schedule_call(d, got_l.append, *args)
-        batched.run()
-        looped.run()
-        assert got_b == got_l == ["y", "z", "x"]
-
-    def test_schedule_calls_negative_delay_is_atomic(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_calls(
-                [(1.0, lambda: None, ()), (-0.5, lambda: None, ())]
-            )
-        assert sim.pending_events == 0
-        assert sim.schedule(1.0, lambda: None).seq == 0
 
 
 class TestScheduleCall:
@@ -263,7 +205,7 @@ class TestScheduleCall:
         sim = Simulator()
         fired = []
         sim.schedule_call(2.0, fired.append, "x")
-        sim.schedule(1.0, fired.append, "y")
+        sim.schedule_at(1.0, fired.append, "y")
         sim.run()
         assert fired == ["y", "x"]
         assert sim.events_processed == 2
@@ -275,78 +217,41 @@ class TestScheduleCall:
 
 
 class TestStepAndStop:
+    """step() runs one event; run(until=...) is covered by TestRunUntil."""
+
     def test_step_processes_single_event(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, fired.append, 2)
+        sim.schedule_call(1.0, fired.append, 1)
+        sim.schedule_call(2.0, fired.append, 2)
         assert sim.step()
         assert fired == [1]
         assert sim.step()
         assert fired == [1, 2]
         assert not sim.step()
 
-    def test_stop_interrupts_run(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, lambda: sim.stop())
-        sim.schedule(3.0, fired.append, 3)
-        sim.run()
-        assert fired == [1]
-        sim.run()  # resumes
-        assert fired == [1, 3]
-
-    def test_stop_then_step_clears_stop_like_run_does(self):
-        # Regression (ISSUE 2): step() used to bypass the _running/_stopped
-        # bookkeeping and silently carry a stale stop() request across calls.
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, fired.append, 2)
-        sim.stop()
-        assert sim.stop_requested
-        assert sim.step()  # a prior stop() is cleared on entry, as in run()
-        assert fired == [1]
-        assert not sim.stop_requested
-        sim.run()
-        assert fired == [1, 2]
-
-    def test_step_maintains_running_flag(self):
-        sim = Simulator()
-        observed = []
-        sim.schedule(1.0, lambda: observed.append(sim.running))
-        assert not sim.running
-        sim.step()
-        assert observed == [True]
-        assert not sim.running
-
-    def test_stop_during_step_is_visible_afterwards(self):
-        sim = Simulator()
-        sim.schedule(1.0, sim.stop)
-        sim.schedule(2.0, lambda: None)
-        sim.step()
-        assert sim.stop_requested  # recorded, and cleared by the next run()
-        sim.run()
-        assert sim.events_processed == 2
-
-    def test_peek_time_skips_cancelled(self):
-        sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.cancel(ev)
-        assert sim.peek_time() == 2.0
-
-    def test_peek_time_empty(self):
-        assert Simulator().peek_time() is None
-
 
 class TestCounters:
     def test_events_processed_counts_only_executed(self):
         sim = Simulator()
         for _ in range(5):
-            sim.schedule(1.0, lambda: None)
-        ev = sim.schedule(2.0, lambda: None)
-        sim.cancel(ev)
-        sim.run()
+            sim.schedule_call(1.0, _nop)
+        sim.schedule_call(2.0, _nop)
+        sim.run(until=1.5)
         assert sim.events_processed == 5
+        assert sim.pending_events == 1
+
+
+def test_public_surface_is_what_the_model_calls():
+    public = {name for name in dir(Simulator) if not name.startswith("_")}
+    assert public == {
+        "schedule_call",
+        "schedule_at",
+        "reserve_seqs",
+        "schedule_reserved",
+        "run",
+        "step",
+        "pending_events",
+        "events_processed",
+    }
+    assert Simulator().now == 0.0

@@ -95,7 +95,18 @@ def test_sl007_only_fires_in_hot_functions():
     messages = " ".join(v.message for v in violations)
     assert "lambda" in messages
     assert "nested function" in messages
-    assert "schedule_call" in messages
+
+
+def test_sl007_covers_the_device_dispatch_path():
+    # StorageDevice.submit/_dispatch/_complete run once per device op.
+    src = (
+        "class StorageDevice:\n"
+        "    def _dispatch(self):\n"
+        "        self.sim.schedule_call(0.0, lambda: None)\n"
+    )
+    violations = lint_source(src, module="repro.devices.base")
+    assert [v.code for v in violations] == ["SL007"]
+    assert lint_source(src, module="repro.devices.fixture") == []
 
 
 def test_sl009_sanctioned_only_in_the_harness_module():
@@ -118,7 +129,7 @@ def test_sl011_allows_calendar_internals_only_inside_repro_sim():
     bad = (FIXTURES / "sl011_bad.py").read_text()
     assert lint_source(bad, module="repro.sim.fixture") == []
     codes = [v.code for v in lint_source(bad, module="benchmarks.fixture")]
-    assert codes == ["SL011"] * 4  # import, _seq read, _seq write, _heap
+    assert codes == ["SL011"] * 3  # _seq read, _seq write, _heap
 
 
 def test_benchmarks_tree_lints_clean():

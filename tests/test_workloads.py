@@ -150,8 +150,8 @@ class TestWorkloadEngine:
         def submit(req):
             got.append(req)
             req.add_wait()
-            sim.schedule(10.0, req.op_done, sim.now + 10.0)
-            sim.schedule(10.0, wl.on_request_complete, req)
+            sim.schedule_call(10.0, req.op_done, sim.now + 10.0)
+            sim.schedule_call(10.0, wl.on_request_complete, req)
 
         wl.bind(sim, submit, rng)
         sim.run(until=wl.duration_us)
@@ -208,7 +208,7 @@ class TestWorkloadEngine:
         def submit(req):
             done.append(req)
             # complete instantly → backpressure opens again
-            sim.schedule(1.0, wl.on_request_complete, req)
+            sim.schedule_call(1.0, wl.on_request_complete, req)
 
         wl.bind(sim, submit, rng)
         sim.run(until=wl.duration_us)
